@@ -14,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"synran"
 	"synran/internal/cli"
 )
 
@@ -24,8 +26,7 @@ func main() {
 	common.Register(flag.CommandLine, cli.FlagSeed|cli.FlagWorkers|cli.FlagEngine|cli.FlagDeadline|cli.FlagMetrics|cli.FlagScenario|cli.FlagCheckpoint)
 	flag.IntVar(&opts.N, "n", 64, "number of processes")
 	flag.IntVar(&opts.T, "t", -1, "crash budget (default n-1)")
-	flag.StringVar(&opts.Protocol, "protocol", "synran", "protocol: synran|benor|floodset|leadercoin|earlystop|phaseking")
-	flag.StringVar(&opts.Adversary, "adversary", "splitvote", "adversary: none|random|splitvote|masscrash|push0|push1|waves|leaderkiller|equivocator|lowerbound|stepwise")
+	nameFlags(flag.CommandLine, &opts)
 	flag.StringVar(&opts.Workload, "workload", "half", "inputs: zeros|ones|half|random")
 	flag.IntVar(&opts.Trials, "trials", 1, "number of runs (seed, seed+1, ...)")
 	flag.BoolVar(&opts.Trace, "trace", false, "print a per-round trace (single trial only)")
@@ -70,4 +71,11 @@ func main() {
 		fmt.Fprintln(errw, "consensus-sim:", runErr)
 		os.Exit(1)
 	}
+}
+
+// nameFlags registers -protocol and -adversary. Their help lists every
+// name the synran registry accepts, so it cannot fall behind it.
+func nameFlags(fs *flag.FlagSet, opts *cli.SimOptions) {
+	fs.StringVar(&opts.Protocol, "protocol", "synran", "protocol: "+strings.Join(synran.Protocols(), "|"))
+	fs.StringVar(&opts.Adversary, "adversary", "splitvote", "adversary: "+strings.Join(synran.Adversaries(), "|"))
 }

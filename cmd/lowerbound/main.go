@@ -101,17 +101,14 @@ func run() error {
 		lb = cand
 	}
 
+	if st.CrashFirst >= 0 {
+		lb = crashFirst{Adversary: lb, victim: st.CrashFirst}
+	}
+
 	fmt.Println("driving the execution under the valency adversary:")
 	for !exec.Done() {
-		view, err := exec.StepPhaseA()
+		plan, err := exec.StepRound(lb)
 		if err != nil {
-			return err
-		}
-		plans := lb.Plan(view)
-		if st.CrashFirst >= 0 && view.Round == 1 {
-			plans = append([]sim.CrashPlan{{Victim: st.CrashFirst}}, plans...)
-		}
-		if err := exec.FinishRound(plans); err != nil {
 			return err
 		}
 		est2, err := est.Classify(exec, exec.Round())
@@ -119,7 +116,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("  round %3d: crashes this round=%d, budget left=%d, state=%v (min=%.2f max=%.2f)\n",
-			exec.Round(), len(plans), exec.Budget(), est2.Class, est2.MinP, est2.MaxP)
+			exec.Round(), len(plan.Crashes), exec.Budget(), est2.Class, est2.MinP, est2.MaxP)
 	}
 	res := exec.Result()
 	fmt.Printf("finished after %d rounds, %d crashes, decided %d (agreement=%v validity=%v)\n",
@@ -128,4 +125,24 @@ func run() error {
 		core.LowerBoundRounds(*n, t))
 	fmt.Println("is the demonstration: non-univalent states persist while the budget lasts.")
 	return common.WriteMetrics(m, os.Stdout)
+}
+
+// crashFirst runs the valency adversary from an initial state that
+// includes a round-1 crash: it prepends that crash to the inner plan's
+// crashes in round 1.
+type crashFirst struct {
+	sim.Adversary
+	victim int
+}
+
+func (a crashFirst) Plan(v *sim.View) sim.RoundPlan {
+	plan := a.Adversary.Plan(v)
+	if v.Round == 1 {
+		plan.Crashes = append([]sim.CrashPlan{{Victim: a.victim}}, plan.Crashes...)
+	}
+	return plan
+}
+
+func (a crashFirst) Clone() sim.Adversary {
+	return crashFirst{Adversary: a.Adversary.Clone(), victim: a.victim}
 }

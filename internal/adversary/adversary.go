@@ -19,7 +19,7 @@ var _ sim.Adversary = None{}
 func (None) Name() string { return "none" }
 
 // Plan implements sim.Adversary.
-func (None) Plan(*sim.View) []sim.CrashPlan { return nil }
+func (None) Plan(*sim.View) sim.RoundPlan { return sim.RoundPlan{} }
 
 // Clone implements sim.Adversary.
 func (None) Clone() sim.Adversary { return None{} }
@@ -36,7 +36,7 @@ var _ sim.Adversary = (*Schedule)(nil)
 func (s *Schedule) Name() string { return "schedule" }
 
 // Plan implements sim.Adversary.
-func (s *Schedule) Plan(v *sim.View) []sim.CrashPlan { return s.Plans[v.Round] }
+func (s *Schedule) Plan(v *sim.View) sim.RoundPlan { return sim.RoundPlan{Crashes: s.Plans[v.Round]} }
 
 // Clone implements sim.Adversary.
 func (s *Schedule) Clone() sim.Adversary {
@@ -77,7 +77,7 @@ func (a *Random) Clone() sim.Adversary {
 }
 
 // Plan implements sim.Adversary.
-func (a *Random) Plan(v *sim.View) []sim.CrashPlan {
+func (a *Random) Plan(v *sim.View) sim.RoundPlan {
 	p := a.PerRound
 	if p == 0 {
 		p = 0.5
@@ -103,7 +103,7 @@ func (a *Random) Plan(v *sim.View) []sim.CrashPlan {
 		}
 		plans = append(plans, sim.CrashPlan{Victim: victim, Deliver: mask})
 	}
-	return plans
+	return sim.RoundPlan{Crashes: plans}
 }
 
 // MassCrash crashes Fraction of the currently alive processes in round
@@ -130,9 +130,9 @@ func (a *MassCrash) Clone() sim.Adversary {
 }
 
 // Plan implements sim.Adversary.
-func (a *MassCrash) Plan(v *sim.View) []sim.CrashPlan {
+func (a *MassCrash) Plan(v *sim.View) sim.RoundPlan {
 	if v.Round != a.AtRound {
-		return nil
+		return sim.RoundPlan{}
 	}
 	want := int(a.Fraction * float64(v.AliveCount()))
 	if want > v.Budget {
@@ -153,7 +153,7 @@ func (a *MassCrash) Plan(v *sim.View) []sim.CrashPlan {
 			plans = append(plans, sim.CrashPlan{Victim: i})
 		}
 	}
-	return plans
+	return sim.RoundPlan{Crashes: plans}
 }
 
 // pickRandomAlive returns a uniformly random live process not already in

@@ -47,7 +47,7 @@ func bitsPayloads(ones, zeros int) []int64 {
 
 func TestNoneNeverCrashes(t *testing.T) {
 	v := viewFor(bitsPayloads(5, 5), 10, 1)
-	if plans := (None{}).Plan(v); plans != nil {
+	if plans := (None{}).Plan(v).Crashes; plans != nil {
 		t.Fatalf("None planned %v", plans)
 	}
 	if None.Name(None{}) != "none" {
@@ -62,11 +62,11 @@ func TestScheduleReplaysAndClones(t *testing.T) {
 		2: {{Victim: 0, Deliver: mask}},
 	}}
 	v := viewFor(bitsPayloads(2, 2), 4, 1)
-	if plans := s.Plan(v); len(plans) != 0 {
+	if plans := s.Plan(v).Crashes; len(plans) != 0 {
 		t.Fatalf("round 1 plans = %v, want none", plans)
 	}
 	v.Round = 2
-	plans := s.Plan(v)
+	plans := s.Plan(v).Crashes
 	if len(plans) != 1 || plans[0].Victim != 0 {
 		t.Fatalf("round 2 plans = %v", plans)
 	}
@@ -81,7 +81,7 @@ func TestScheduleReplaysAndClones(t *testing.T) {
 func TestRandomRespectsBudget(t *testing.T) {
 	v := viewFor(bitsPayloads(4, 4), 2, 7)
 	a := &Random{PerRound: 1.0, MaxPerRound: 10}
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) > 2 {
 		t.Fatalf("planned %d crashes with budget 2", len(plans))
 	}
@@ -99,7 +99,7 @@ func TestRandomZeroProbabilityIsQuiet(t *testing.T) {
 	a := &Random{PerRound: 0.0000001, MaxPerRound: 1}
 	quiet := 0
 	for i := 0; i < 50; i++ {
-		if len(a.Plan(v)) == 0 {
+		if len(a.Plan(v).Crashes) == 0 {
 			quiet++
 		}
 	}
@@ -112,7 +112,7 @@ func TestMassCrashPrefersValue(t *testing.T) {
 	payloads := bitsPayloads(6, 4) // ids 0..5 send 1, ids 6..9 send 0
 	v := viewFor(payloads, 10, 1)
 	a := &MassCrash{AtRound: 1, Fraction: 0.5, PreferValue: 1}
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) != 5 {
 		t.Fatalf("planned %d crashes, want 5 (=0.5*10)", len(plans))
 	}
@@ -122,7 +122,7 @@ func TestMassCrashPrefersValue(t *testing.T) {
 		}
 	}
 	v.Round = 2
-	if plans := a.Plan(v); plans != nil {
+	if plans := a.Plan(v).Crashes; plans != nil {
 		t.Fatalf("MassCrash fired outside its round: %v", plans)
 	}
 }
@@ -131,7 +131,7 @@ func TestMassCrashFallsBackToAnyAlive(t *testing.T) {
 	payloads := bitsPayloads(2, 8)
 	v := viewFor(payloads, 10, 1)
 	a := &MassCrash{AtRound: 1, Fraction: 0.5, PreferValue: 1}
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) != 5 {
 		t.Fatalf("planned %d crashes, want 5", len(plans))
 	}
@@ -142,7 +142,7 @@ func TestSplitVoteTrimsOvershoot(t *testing.T) {
 	// the adversary must crash 3 one-senders.
 	a := &SplitVote{DisableSplit: true}
 	v := viewFor(bitsPayloads(9, 1), 10, 1)
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) != 3 {
 		t.Fatalf("planned %d crashes, want 3 (trim 9 ones to band top 6)", len(plans))
 	}
@@ -159,7 +159,7 @@ func TestSplitVoteTrimsOvershoot(t *testing.T) {
 func TestSplitVoteSplitLeverAddsMask(t *testing.T) {
 	a := &SplitVote{SplitFraction: 0.3}
 	v := viewFor(bitsPayloads(9, 1), 10, 1)
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) != 3 {
 		t.Fatalf("planned %d crashes, want 3", len(plans))
 	}
@@ -176,7 +176,7 @@ func TestSplitVoteRescuesZeroSweep(t *testing.T) {
 	// Ones well below the band: 2 of 10 with base 10 (band bottom 5).
 	a := &SplitVote{}
 	v := viewFor(bitsPayloads(2, 8), 10, 1)
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) != 8 {
 		t.Fatalf("planned %d crashes, want all 8 zero-senders", len(plans))
 	}
@@ -203,7 +203,7 @@ func TestSplitVoteRescuesZeroSweep(t *testing.T) {
 func TestSplitVoteRescueTooExpensive(t *testing.T) {
 	a := &SplitVote{}
 	v := viewFor(bitsPayloads(2, 8), 3, 1) // budget below the 8 zero-senders
-	if plans := a.Plan(v); len(plans) != 0 {
+	if plans := a.Plan(v).Crashes; len(plans) != 0 {
 		t.Fatalf("rescue attempted beyond budget: %v", plans)
 	}
 }
@@ -212,7 +212,7 @@ func TestSplitVoteIgnoresFloodStage(t *testing.T) {
 	a := &SplitVote{}
 	payloads := []int64{wire.Flood(wire.MaskOne), wire.Plain(1), wire.Plain(0)}
 	v := viewFor(payloads, 3, 1)
-	if plans := a.Plan(v); plans != nil {
+	if plans := a.Plan(v).Crashes; plans != nil {
 		t.Fatalf("split-vote attacked the deterministic stage: %v", plans)
 	}
 }
@@ -221,7 +221,7 @@ func TestSplitVoteInBandIsQuiet(t *testing.T) {
 	a := &SplitVote{}
 	// 5 ones of 10 with base 10: exactly at the band bottom; no lever fires.
 	v := viewFor(bitsPayloads(5, 5), 10, 1)
-	if plans := a.Plan(v); len(plans) != 0 {
+	if plans := a.Plan(v).Crashes; len(plans) != 0 {
 		t.Fatalf("in-band round attacked: %v", plans)
 	}
 }
@@ -240,7 +240,7 @@ func TestSplitVoteCloneIndependent(t *testing.T) {
 func TestSplitVoteBaseTracking(t *testing.T) {
 	a := &SplitVote{DisableSplit: true}
 	v := viewFor(bitsPayloads(9, 1), 10, 1)
-	plans := a.Plan(v) // trims 3 silently: every receiver now has N = 7
+	plans := a.Plan(v).Crashes // trims 3 silently: every receiver now has N = 7
 	if len(plans) != 3 {
 		t.Fatalf("setup failed: %d plans", len(plans))
 	}

@@ -18,10 +18,7 @@ type Equivocator struct {
 	Corruptions int
 }
 
-var (
-	_ sim.Adversary = (*Equivocator)(nil)
-	_ sim.Forger    = (*Equivocator)(nil)
-)
+var _ sim.Adversary = (*Equivocator)(nil)
 
 // Name implements sim.Adversary.
 func (a *Equivocator) Name() string { return "equivocator" }
@@ -32,12 +29,9 @@ func (a *Equivocator) Clone() sim.Adversary {
 	return &c
 }
 
-// Plan implements sim.Adversary: the Equivocator never crashes anyone —
-// corruption is strictly more powerful.
-func (a *Equivocator) Plan(*sim.View) []sim.CrashPlan { return nil }
-
-// Forge implements sim.Forger.
-func (a *Equivocator) Forge(v *sim.View) []sim.Forgery {
+// Plan implements sim.Adversary. The Equivocator never crashes anyone —
+// corruption is strictly more powerful — so its plan is forgeries only.
+func (a *Equivocator) Plan(v *sim.View) sim.RoundPlan {
 	want := a.Corruptions
 	if want <= 0 {
 		want = v.T
@@ -58,7 +52,7 @@ func (a *Equivocator) Forge(v *sim.View) []sim.Forgery {
 		forgeries = append(forgeries, sim.Forgery{Sender: i, PerReceiver: per})
 		corrupted++
 	}
-	return forgeries
+	return sim.RoundPlan{Forgeries: forgeries}
 }
 
 // forgeriesNew counts the forgeries naming not-yet-corrupted processes

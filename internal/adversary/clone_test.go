@@ -59,26 +59,13 @@ func buildRun(t *testing.T, advName string) (*sim.Execution, sim.Adversary) {
 	return exec, adv
 }
 
-// drive advances exec through exactly the rounds Run would, consulting
-// the Omitter and Forger extensions in the same order, until round snap
-// or termination.
+// drive advances exec through exactly the rounds Run would, one
+// Execution.StepRound at a time, until round snap or termination.
 func drive(t *testing.T, exec *sim.Execution, adv sim.Adversary, snap int) {
 	t.Helper()
 	for exec.Round() < snap && !exec.Done() {
-		v, err := exec.StepPhaseA()
-		if err != nil {
-			t.Fatalf("StepPhaseA: %v", err)
-		}
-		plans := adv.Plan(v)
-		if om, ok := adv.(sim.Omitter); ok {
-			err = exec.FinishRoundOmitted(plans, om.Omit(v))
-		} else if forger, ok := adv.(sim.Forger); ok {
-			err = exec.FinishRoundForged(plans, forger.Forge(v))
-		} else {
-			err = exec.FinishRound(plans)
-		}
-		if err != nil {
-			t.Fatalf("finish round: %v", err)
+		if _, err := exec.StepRound(adv); err != nil {
+			t.Fatalf("step round: %v", err)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package adversary
 
 import "synran/internal/sim"
 
-// Combo concatenates the plans of several adversaries each round (in
-// order; the engine deduplicates victims and enforces the budget). Use
+// Combo concatenates the plans of several adversaries each round: each
+// part's crashes, omissions and forgeries, in part order (the engine
+// deduplicates victims and enforces the budgets). Use
 // it to compose orthogonal levers — e.g. SplitVote's band control with
 // LeaderKiller's coordinator attack against the leader-coin protocol.
 type Combo struct {
@@ -30,12 +31,15 @@ func (c *Combo) Name() string {
 }
 
 // Plan implements sim.Adversary.
-func (c *Combo) Plan(v *sim.View) []sim.CrashPlan {
-	var plans []sim.CrashPlan
+func (c *Combo) Plan(v *sim.View) sim.RoundPlan {
+	var plan sim.RoundPlan
 	for _, p := range c.Parts {
-		plans = append(plans, p.Plan(v)...)
+		part := p.Plan(v)
+		plan.Crashes = append(plan.Crashes, part.Crashes...)
+		plan.Omissions = append(plan.Omissions, part.Omissions...)
+		plan.Forgeries = append(plan.Forgeries, part.Forgeries...)
 	}
-	return plans
+	return plan
 }
 
 // Clone implements sim.Adversary.

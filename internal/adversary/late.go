@@ -3,9 +3,9 @@ package adversary
 import "synran/internal/sim"
 
 // Late is the ε-delayed ("late") adversary wrapper of Robinson,
-// Scheideler and Setzer (arXiv 1805.00774): it wraps any fail-stop
-// strategy but feeds it a view that is Delay rounds stale. The inner
-// strategy's corruption choices are therefore computed from where the
+// Scheideler and Setzer (arXiv 1805.00774): it wraps any strategy but
+// feeds it a view that is Delay rounds stale. The inner strategy's
+// corruption choices are therefore computed from where the
 // protocol WAS, not where it is — which is exactly the handicap that
 // lets randomized protocols beat the adaptive fail-stop lower bound:
 // by the time the stale view identifies this round's pivotal senders,
@@ -80,15 +80,16 @@ func (a *Late) ResetAdversary() {
 }
 
 // Plan implements sim.Adversary: record this round's state, then let
-// the inner strategy plan against the state of Delay rounds ago. The
-// first Delay rounds are attack-free — the adversary has not seen
-// anything yet, the protocol runs unhindered.
-func (a *Late) Plan(v *sim.View) []sim.CrashPlan {
+// the inner strategy plan against the state of Delay rounds ago, and
+// return its whole plan (crashes, omissions and forgeries). The first
+// Delay rounds are attack-free — the adversary has not seen anything
+// yet, the protocol runs unhindered.
+func (a *Late) Plan(v *sim.View) sim.RoundPlan {
 	d := a.delay()
 	a.record(v, d)
 	stale := a.snapAt(v.Round - d)
 	if stale == nil {
-		return nil
+		return sim.RoundPlan{}
 	}
 	sv := sim.NewView(sim.ViewState{
 		Round:    stale.round,

@@ -82,8 +82,8 @@ func (w *Waves) commit() {
 func (w *Waves) Name() string { return "waves-nonadaptive" }
 
 // Plan implements sim.Adversary. It reads only the round number.
-func (w *Waves) Plan(v *sim.View) []sim.CrashPlan {
-	return w.plans[v.Round]
+func (w *Waves) Plan(v *sim.View) sim.RoundPlan {
+	return sim.RoundPlan{Crashes: w.plans[v.Round]}
 }
 
 // Clone implements sim.Adversary (the schedule is immutable, so the
@@ -113,9 +113,9 @@ func (LeaderKiller) Clone() sim.Adversary { return LeaderKiller{} }
 // current leader's, delivering each to the upper-id half only: the upper
 // half then sees the old leader's bit, the lower half the differing
 // successor's.
-func (LeaderKiller) Plan(v *sim.View) []sim.CrashPlan {
+func (LeaderKiller) Plan(v *sim.View) sim.RoundPlan {
 	if v.Budget == 0 {
-		return nil
+		return sim.RoundPlan{}
 	}
 	var senders []int
 	for i := 0; i < v.N; i++ {
@@ -124,7 +124,7 @@ func (LeaderKiller) Plan(v *sim.View) []sim.CrashPlan {
 		}
 	}
 	if len(senders) < 2 {
-		return nil
+		return sim.RoundPlan{}
 	}
 	leadBit := wire.Bit(v.Payload(senders[0]))
 	cut := -1
@@ -135,12 +135,12 @@ func (LeaderKiller) Plan(v *sim.View) []sim.CrashPlan {
 		}
 	}
 	if cut < 0 {
-		return nil // unanimous bits: no leader split possible
+		return sim.RoundPlan{} // unanimous bits: no leader split possible
 	}
 	// Keep the attack cheap: only worth a few crashes per round.
 	const maxPrefix = 3
 	if cut > maxPrefix || cut > v.Budget {
-		return nil
+		return sim.RoundPlan{}
 	}
 	half := sim.NewBitSet(v.N)
 	cnt, want := 0, v.AliveCount()/2
@@ -154,5 +154,5 @@ func (LeaderKiller) Plan(v *sim.View) []sim.CrashPlan {
 	for k := 0; k < cut; k++ {
 		plans = append(plans, sim.CrashPlan{Victim: senders[k], Deliver: half.Clone()})
 	}
-	return plans
+	return sim.RoundPlan{Crashes: plans}
 }

@@ -17,7 +17,7 @@ func TestWavesScheduleIsCommitted(t *testing.T) {
 		va.Round = r
 		vb := viewFor(bitsPayloads(16, 0), 8, 99) // different payloads/rng
 		vb.Round = r
-		pa, pb := a.Plan(va), b.Plan(vb)
+		pa, pb := a.Plan(va).Crashes, b.Plan(vb).Crashes
 		if len(pa) != len(pb) {
 			t.Fatalf("round %d: plan lengths differ (%d vs %d)", r, len(pa), len(pb))
 		}
@@ -57,7 +57,7 @@ func TestWavesDifferentSeedsDiffer(t *testing.T) {
 		va.Round = r
 		vb := viewFor(bitsPayloads(16, 16), 16, 1)
 		vb.Round = r
-		pa, pb := a.Plan(va), b.Plan(vb)
+		pa, pb := a.Plan(va).Crashes, b.Plan(vb).Crashes
 		if len(pa) != len(pb) {
 			same = false
 			break
@@ -76,7 +76,7 @@ func TestWavesDifferentSeedsDiffer(t *testing.T) {
 func TestLeaderKillerSplitsOnDifferingBits(t *testing.T) {
 	// Senders: p0 bit 0, p1 bit 1 → kill p0 only.
 	v := viewFor([]int64{wire.Plain(0), wire.Plain(1), wire.Plain(0), wire.Plain(1)}, 4, 1)
-	plans := LeaderKiller{}.Plan(v)
+	plans := LeaderKiller{}.Plan(v).Crashes
 	if len(plans) != 1 || plans[0].Victim != 0 {
 		t.Fatalf("plans = %+v, want single crash of p0", plans)
 	}
@@ -88,7 +88,7 @@ func TestLeaderKillerSplitsOnDifferingBits(t *testing.T) {
 func TestLeaderKillerKillsPrefix(t *testing.T) {
 	// p0 and p1 share bit 0; p2 differs → kill p0 and p1.
 	v := viewFor([]int64{wire.Plain(0), wire.Plain(0), wire.Plain(1), wire.Plain(1)}, 4, 1)
-	plans := LeaderKiller{}.Plan(v)
+	plans := LeaderKiller{}.Plan(v).Crashes
 	if len(plans) != 2 || plans[0].Victim != 0 || plans[1].Victim != 1 {
 		t.Fatalf("plans = %+v, want crashes of p0 and p1", plans)
 	}
@@ -96,14 +96,14 @@ func TestLeaderKillerKillsPrefix(t *testing.T) {
 
 func TestLeaderKillerQuietOnUnanimity(t *testing.T) {
 	v := viewFor(bitsPayloads(4, 0), 4, 1)
-	if plans := (LeaderKiller{}).Plan(v); plans != nil {
+	if plans := (LeaderKiller{}).Plan(v).Crashes; plans != nil {
 		t.Fatalf("unanimous senders attacked: %v", plans)
 	}
 }
 
 func TestLeaderKillerRespectsBudget(t *testing.T) {
 	v := viewFor([]int64{wire.Plain(0), wire.Plain(0), wire.Plain(1)}, 1, 1)
-	if plans := (LeaderKiller{}).Plan(v); plans != nil {
+	if plans := (LeaderKiller{}).Plan(v).Crashes; plans != nil {
 		t.Fatalf("prefix of 2 exceeds budget 1, want no attack, got %v", plans)
 	}
 }
@@ -116,7 +116,7 @@ func TestComboConcatenatesAndClones(t *testing.T) {
 		t.Fatalf("name = %q", c.Name())
 	}
 	v := viewFor(bitsPayloads(2, 2), 4, 1)
-	plans := c.Plan(v)
+	plans := c.Plan(v).Crashes
 	if len(plans) != 2 || plans[0].Victim != 0 || plans[1].Victim != 1 {
 		t.Fatalf("plans = %+v", plans)
 	}

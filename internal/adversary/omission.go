@@ -41,7 +41,6 @@ type Omission struct {
 	mask  *sim.BitSet // reusable scratch, never shared between clones
 }
 
-var _ sim.Omitter = (*Omission)(nil)
 var _ sim.ReusableAdversary = (*Omission)(nil)
 
 // Name implements sim.Adversary.
@@ -64,19 +63,17 @@ func (a *Omission) Clone() sim.Adversary {
 // ResetAdversary implements sim.ReusableAdversary.
 func (a *Omission) ResetAdversary() { a.spent = 0 }
 
-// Plan implements sim.Adversary: the family never crashes anyone.
-func (a *Omission) Plan(*sim.View) []sim.CrashPlan { return nil }
-
-// Omit implements sim.Omitter.
-func (a *Omission) Omit(v *sim.View) []sim.CrashPlan {
+// Plan implements sim.Adversary. The family never crashes anyone, so
+// its plan is omissions only.
+func (a *Omission) Plan(v *sim.View) sim.RoundPlan {
 	if a.spent >= a.Budget {
-		return nil
+		return sim.RoundPlan{}
 	}
 	switch a.mode() {
 	case "random":
-		return a.omitRandom(v)
+		return sim.RoundPlan{Omissions: a.omitRandom(v)}
 	case "split":
-		return a.omitSplit(v)
+		return sim.RoundPlan{Omissions: a.omitSplit(v)}
 	default:
 		panic(fmt.Sprintf("adversary: unknown omission mode %q", a.Mode))
 	}

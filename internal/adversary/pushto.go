@@ -50,13 +50,13 @@ func (a *PushTo) Clone() sim.Adversary {
 func (a *PushTo) ResetAdversary() {}
 
 // Plan implements sim.Adversary.
-func (a *PushTo) Plan(v *sim.View) []sim.CrashPlan {
+func (a *PushTo) Plan(v *sim.View) sim.RoundPlan {
 	limit := v.Budget
 	if a.PerRound > 0 && a.PerRound < limit {
 		limit = a.PerRound
 	}
 	if limit == 0 {
-		return nil
+		return sim.RoundPlan{}
 	}
 	opposite := 1 - a.Value
 	plans := a.plans[:0]
@@ -69,5 +69,5 @@ func (a *PushTo) Plan(v *sim.View) []sim.CrashPlan {
 		}
 	}
 	a.plans = plans
-	return plans
+	return sim.RoundPlan{Crashes: plans}
 }

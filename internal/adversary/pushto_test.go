@@ -11,7 +11,7 @@ func TestPushToCrashesOppositeSenders(t *testing.T) {
 	for _, target := range []int{0, 1} {
 		a := &PushTo{Value: target}
 		v := viewFor(bitsPayloads(3, 3), 6, 1)
-		plans := a.Plan(v)
+		plans := a.Plan(v).Crashes
 		if len(plans) != 3 {
 			t.Fatalf("target %d: planned %d crashes, want all 3 opposite senders", target, len(plans))
 		}
@@ -26,7 +26,7 @@ func TestPushToCrashesOppositeSenders(t *testing.T) {
 func TestPushToPerRoundCap(t *testing.T) {
 	a := &PushTo{Value: 1, PerRound: 2}
 	v := viewFor(bitsPayloads(2, 6), 8, 1)
-	if plans := a.Plan(v); len(plans) != 2 {
+	if plans := a.Plan(v).Crashes; len(plans) != 2 {
 		t.Fatalf("planned %d crashes, want the per-round cap 2", len(plans))
 	}
 }
@@ -34,11 +34,11 @@ func TestPushToPerRoundCap(t *testing.T) {
 func TestPushToBudgetCap(t *testing.T) {
 	a := &PushTo{Value: 1, PerRound: 10}
 	v := viewFor(bitsPayloads(2, 6), 3, 1)
-	if plans := a.Plan(v); len(plans) != 3 {
+	if plans := a.Plan(v).Crashes; len(plans) != 3 {
 		t.Fatalf("planned %d crashes, want the budget 3", len(plans))
 	}
 	v.Budget = 0
-	if plans := a.Plan(v); plans != nil {
+	if plans := a.Plan(v).Crashes; plans != nil {
 		t.Fatalf("exhausted budget still planned %v", plans)
 	}
 }
@@ -46,7 +46,7 @@ func TestPushToBudgetCap(t *testing.T) {
 func TestPushToSkipsFloodSenders(t *testing.T) {
 	a := &PushTo{Value: 1}
 	v := viewFor([]int64{wire.Flood(wire.MaskZero), wire.Plain(0), wire.Plain(1)}, 3, 1)
-	plans := a.Plan(v)
+	plans := a.Plan(v).Crashes
 	if len(plans) != 1 || plans[0].Victim != 1 {
 		t.Fatalf("plans = %v, want only the plain 0-sender", plans)
 	}
@@ -86,7 +86,7 @@ func TestNamesAndClones(t *testing.T) {
 func TestEquivocatorForgesWithinBudget(t *testing.T) {
 	a := &Equivocator{Corruptions: 2}
 	v := viewFor(bitsPayloads(3, 3), 2, 1)
-	fs := a.Forge(v)
+	fs := a.Plan(v).Forgeries
 	if len(fs) != 2 {
 		t.Fatalf("forged %d, want 2", len(fs))
 	}
@@ -99,7 +99,7 @@ func TestEquivocatorForgesWithinBudget(t *testing.T) {
 			t.Fatalf("not equivocating: %v", f.PerReceiver[:2])
 		}
 	}
-	if plans := a.Plan(v); plans != nil {
+	if plans := a.Plan(v).Crashes; plans != nil {
 		t.Fatal("equivocator must not crash anyone")
 	}
 }
@@ -108,7 +108,7 @@ func TestEquivocatorDefaultsToFullBudget(t *testing.T) {
 	a := &Equivocator{}
 	v := viewFor(bitsPayloads(4, 4), 3, 1)
 	v.T = 3
-	if fs := a.Forge(v); len(fs) != 3 {
+	if fs := a.Plan(v).Forgeries; len(fs) != 3 {
 		t.Fatalf("forged %d, want the full budget 3", len(fs))
 	}
 }

@@ -90,7 +90,7 @@ func (a *SplitVote) Clone() sim.Adversary {
 func (a *SplitVote) ResetAdversary() { a.started = false }
 
 // Plan implements sim.Adversary.
-func (a *SplitVote) Plan(v *sim.View) []sim.CrashPlan {
+func (a *SplitVote) Plan(v *sim.View) sim.RoundPlan {
 	if !a.started {
 		if cap(a.bases) < v.N {
 			a.bases = make([]int, v.N)
@@ -104,7 +104,7 @@ func (a *SplitVote) Plan(v *sim.View) []sim.CrashPlan {
 	}
 	plans := a.plan(v)
 	a.updateBases(v, plans)
-	return plans
+	return sim.RoundPlan{Crashes: plans}
 }
 
 // plan chooses this round's lever.

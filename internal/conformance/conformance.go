@@ -54,7 +54,7 @@ type Case struct {
 	Engine string
 	// MaxRounds overrides the engines' safety valve (0 = default).
 	MaxRounds int
-	// FaultBudget bounds the omission demotions an Omitter adversary may
+	// FaultBudget bounds the omission demotions an adversary's plans may
 	// perform, on every lane (sim.Config.FaultBudget and
 	// netsim.Options.FaultBudget get the same value).
 	FaultBudget int
@@ -126,9 +126,10 @@ func ParseCase(spec string) (Case, error) {
 // case needs: unsafe combinations and engines a lane cannot run.
 func (c *Case) normalize() {
 	// Look-ahead adversaries need the clonable Exec; the Byzantine
-	// equivocator needs the Forger hook. Neither exists in the live
-	// runner, so every lock-step-only adversary skips the netsim lane
-	// (synran.LockStepOnly is the single source of truth for the list).
+	// equivocator needs corruption. Neither exists in the live runner
+	// (netsim rejects forgeries), so every lock-step-only adversary skips
+	// the netsim lane (synran.LockStepOnly is the single source of truth
+	// for the list).
 	if synran.LockStepOnly(c.Adversary) {
 		c.SkipNetsim = true
 	}
@@ -452,38 +453,15 @@ func (c Case) runReset(oracles []Oracle) (*lane, []string, error) {
 }
 
 // driveTo advances exec round by round until round snap (or
-// termination), firing the observer's OnRound exactly as Run would —
-// including the Forger extension: a Byzantine adversary's forgeries
-// must be applied in the driven prefix too, or the fork lanes diverge
-// from the sequential lane on every corrupted round (found by the
-// scenario corpus's phaseking/equivocator entry).
-func driveTo(exec *sim.Execution, adv sim.Adversary, log *eventLog, snap, maxRounds int) error {
+// termination) with Execution.StepRound, the step Run itself takes, so
+// the driven prefix fires the same events and applies every part of the
+// adversary's plan exactly as the sequential lane does.
+func driveTo(exec *sim.Execution, adv sim.Adversary, snap, maxRounds int) error {
 	for exec.Round() < snap && !exec.Done() {
 		if exec.Round() >= maxRounds {
 			return nil // the continuation will report the timeout
 		}
-		v, err := exec.StepPhaseA()
-		if err != nil {
-			return err
-		}
-		log.OnRound(v.Round, v)
-		plans := adv.Plan(v)
-		if om, ok := adv.(sim.Omitter); ok {
-			// The Omitter extension must drive the prefix exactly as Run
-			// does, or the fork lanes' demotion ledgers diverge from the
-			// sequential lane on every omission round.
-			if err := exec.FinishRoundOmitted(plans, om.Omit(v)); err != nil {
-				return err
-			}
-			continue
-		}
-		if forger, ok := adv.(sim.Forger); ok {
-			if err := exec.FinishRoundForged(plans, forger.Forge(v)); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := exec.FinishRound(plans); err != nil {
+		if _, err := exec.StepRound(adv); err != nil {
 			return err
 		}
 	}
@@ -512,7 +490,7 @@ func (c Case) runForks(snap int) (base, cloneFork, arenaFork *lane, err error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := driveTo(exec, adv, baseLog, snap, maxRounds); err != nil {
+	if err := driveTo(exec, adv, snap, maxRounds); err != nil {
 		return nil, nil, nil, err
 	}
 
@@ -781,7 +759,7 @@ func Cases(cfg SweepConfig) []Case {
 	// The omission and late families run as targeted cases rather than a
 	// full product: each pairs the adversary with the protocol built for
 	// it plus the paper's protocol, on both engine cores and the netsim
-	// lane (Omitter demotions and stale-view planning are exactly the
+	// lane (omission demotions and stale-view planning are exactly the
 	// machinery the fork/reset lanes can get wrong).
 	for _, tc := range []Case{
 		{Protocol: synran.ProtocolOmitFlood, Adversary: synran.AdversaryOmissionSplit, Workload: "half", N: 9, T: 3, FaultBudget: 3},

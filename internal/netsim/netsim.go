@@ -49,6 +49,12 @@ import (
 // runner degraded gracefully and returned a partial Result instead.
 var ErrFaultBudget = errors.New("netsim: chaos fault budget exhausted")
 
+// ErrForgeryUnsupported reports an adversary whose RoundPlan carries
+// Byzantine forgeries. The live runner has no corruption model, so it
+// ends the run with this error and a partial Result rather than drop
+// part of the attack; Byzantine adversaries need the lock-step engine.
+var ErrForgeryUnsupported = errors.New("netsim: Byzantine forgeries need the lock-step engine")
+
 // Options harden the live runner against a faulty substrate. The zero
 // value reproduces the perfect-synchronizer behaviour (no injected
 // faults, no deadlines — but panics are still isolated, never allowed
@@ -79,12 +85,12 @@ type Options struct {
 	// only a (k+1)-th chaos fault ends the run with ErrFaultBudget and a
 	// partial Result — so FaultBudget: 0 aborts on the very first chaos
 	// fault, never after it (TestFaultBudgetBoundary pins both edges).
-	// Adversarial omission demotions (sim.Omitter) draw from the same
-	// ledger but are skipped deterministically once it is spent rather
-	// than aborting: they are scheduled faults, not substrate surprises,
-	// and every lane must degrade them identically. The ≤ t resilience
-	// condition of the protocols is the caller's to respect: adversary
-	// crashes + FaultBudget ≤ T.
+	// Adversarial omission demotions (RoundPlan.Omissions) draw from the
+	// same ledger but are skipped deterministically once it is spent
+	// rather than aborting: they are scheduled faults, not substrate
+	// surprises, and every lane must degrade them identically. The ≤ t
+	// resilience condition of the protocols is the caller's to respect:
+	// adversary crashes + FaultBudget ≤ T.
 	FaultBudget int
 }
 
@@ -464,70 +470,48 @@ func (r *runner) run() (*sim.Result, error) {
 		if obs := r.cfg.Observer; obs != nil {
 			obs.OnRound(round, view)
 		}
-		// Plan and Omit are both consulted on the pre-crash view, matching
-		// the sequential engine's evaluation order exactly.
-		plans := r.adv.Plan(view)
-		var omissions []sim.CrashPlan
-		if om, ok := r.adv.(sim.Omitter); ok {
-			omissions = om.Omit(view)
+		plan := r.adv.Plan(view)
+		if len(plan.Forgeries) > 0 {
+			return r.result(true), fmt.Errorf("%w (adversary %q, round %d)", ErrForgeryUnsupported, r.adv.Name(), round)
 		}
+		// Crashes, then adversarial omission demotions, under the engines'
+		// victim rule. An omission victim's outgoing links are silenced
+		// with CrashPlan partial-delivery semantics and charged to the
+		// fault budget as a demotion. Unlike substrate faults these never
+		// abort the run: plans past the budget are skipped exactly as on
+		// the lock-step engines, so all lanes agree. A victim keeps its
+		// sending flag: its in-flight round message still reaches the
+		// receivers its Deliver mask names.
 		deliver := make([]*sim.BitSet, r.n)
-		for _, plan := range plans {
-			v := plan.Victim
-			if v < 0 || v >= r.n || !r.alive[v] || r.advCrashed >= r.cfg.T {
-				continue
+		down := func(p sim.CrashPlan) {
+			v := p.Victim
+			if p.Deliver != nil {
+				deliver[v] = p.Deliver.Clone()
+			} else {
+				deliver[v] = sim.NewBitSet(r.n)
 			}
-			r.alive[v] = false
+			if obs := r.cfg.Observer; obs != nil {
+				d := 0
+				if r.sending[v] {
+					d = deliver[v].Count()
+				}
+				obs.OnCrash(round, v, d)
+			}
+		}
+		sim.ApplyVictims(plan.Crashes, r.alive, nil, r.advCrashed, r.cfg.T, func(p sim.CrashPlan) {
 			r.advCrashed++
 			if m != nil {
 				m.CrashesAdversary.Inc(shard)
 			}
-			if plan.Deliver != nil {
-				deliver[v] = plan.Deliver.Clone()
-			} else {
-				deliver[v] = sim.NewBitSet(r.n)
-			}
-			if obs := r.cfg.Observer; obs != nil {
-				d := 0
-				if r.sending[v] {
-					d = deliver[v].Count()
-				}
-				obs.OnCrash(round, v, d)
-			}
-		}
-		// Adversarial omission demotions, after the crashes: the victim's
-		// outgoing links are silenced with CrashPlan partial-delivery
-		// semantics, charged to the fault budget as a demotion. Unlike
-		// substrate faults these never abort the run — plans past the
-		// budget are skipped deterministically, exactly as on the
-		// lock-step engines (sim.FinishRoundOmitted), so all lanes agree.
-		// The victim keeps its sending flag: its in-flight round message
-		// still reaches the receivers its Deliver mask names.
-		omitSpent := r.faults.CrashEquivalent()
-		for _, plan := range omissions {
-			v := plan.Victim
-			if v < 0 || v >= r.n || !r.alive[v] || omitSpent >= r.opts.FaultBudget {
-				continue
-			}
-			r.alive[v] = false
+			down(p)
+		})
+		sim.ApplyVictims(plan.Omissions, r.alive, nil, r.faults.CrashEquivalent(), r.opts.FaultBudget, func(p sim.CrashPlan) {
 			r.faults.Demoted++
-			omitSpent++
 			if m != nil {
 				m.Demotions.Inc(shard)
 			}
-			if plan.Deliver != nil {
-				deliver[v] = plan.Deliver.Clone()
-			} else {
-				deliver[v] = sim.NewBitSet(r.n)
-			}
-			if obs := r.cfg.Observer; obs != nil {
-				d := 0
-				if r.sending[v] {
-					d = deliver[v].Count()
-				}
-				obs.OnCrash(round, v, d)
-			}
-		}
+			down(p)
+		})
 
 		// Phase B: route messages through the chaotic substrate.
 		next := make([][]sim.Recv, r.n)

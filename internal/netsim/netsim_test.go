@@ -117,6 +117,24 @@ func TestLiveRunnerMaxRounds(t *testing.T) {
 	}
 }
 
+// TestForgeriesRejected drives a Byzantine adversary through the live
+// runner directly: it has no corruption model, so it must end the run
+// with the typed error instead of dropping the forgeries.
+func TestForgeriesRejected(t *testing.T) {
+	const n = 13
+	procs, err := phaseking.NewProcs(n, 3, halfInputs(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sim.Config{N: n, T: 3}, procs, halfInputs(n), &adversary.Equivocator{}, 7)
+	if !errors.Is(err, ErrForgeryUnsupported) {
+		t.Fatalf("err = %v, want ErrForgeryUnsupported", err)
+	}
+	if res == nil || !res.Partial {
+		t.Fatalf("want a partial result alongside the error, got %+v", res)
+	}
+}
+
 func TestLiveRunnerObserver(t *testing.T) {
 	hist := &sim.CrashHistogram{}
 	const n = 8

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Byzantine extension of the fail-stop engine. The paper's own model is
 // fail-stop, but its introduction contrasts it with Byzantine agreement
 // ("efficient t+1 round agreement protocols are known even for Byzantine
@@ -22,13 +20,13 @@ type Forgery struct {
 	Silent      bool
 }
 
-// Forger is the optional adversary extension for Byzantine behaviour.
-// Run detects it; the lock-step engine is the only runner supporting it.
+// Forger was the optional adversary extension for Byzantine behaviour.
+//
+// Deprecated: forgeries are RoundPlan.Forgeries, returned by Plan. No
+// adversary implements Forger and no engine reads it. It survives only
+// for the guard in the end-to-end benchmark (e2ebench/lockstep.go); the
+// next change to that benchmark removes both.
 type Forger interface {
-	// Forge is invoked once per round after Phase A, alongside Plan. The
-	// first forgery naming a process corrupts it (spending one unit of
-	// the T budget); a corrupt process with no forgery this round stays
-	// silent.
 	Forge(v *View) []Forgery
 }
 
@@ -47,7 +45,9 @@ func (e *Execution) CorruptCount() int {
 }
 
 // applyForgeries corrupts new victims (budget permitting) and records
-// this round's forged payload tables. Invalid forgeries (bad sender,
+// this round's forged payload tables. The first forgery naming a process
+// corrupts it, spending one unit of the T budget; a corrupt process with
+// no forgery in a round stays silent. Invalid forgeries (bad sender,
 // crashed sender, malformed table, budget exhausted) are skipped.
 func (e *Execution) applyForgeries(forgeries []Forgery) {
 	if e.forged == nil {
@@ -80,20 +80,4 @@ func (e *Execution) forgedPayload(sender, j int) (int64, bool) {
 		return 0, false
 	}
 	return f.PerReceiver[j], true
-}
-
-// FinishRoundForged is FinishRound plus Byzantine forgeries.
-func (e *Execution) FinishRoundForged(plans []CrashPlan, forgeries []Forgery) error {
-	if !e.phaseAOpen {
-		return fmt.Errorf("sim: FinishRoundForged called without an open round")
-	}
-	if e.tallyMode && len(forgeries) > 0 {
-		// Corruption needs per-receiver payloads, which tally columns
-		// cannot carry: sync the process objects from the kernel and run
-		// the object path from here on (permanently — dropping back is
-		// always behavior-preserving, the reverse is not).
-		e.leaveTallyMode()
-	}
-	e.applyForgeries(forgeries)
-	return e.FinishRound(plans)
 }

@@ -8,12 +8,11 @@ type forgerAdv struct {
 	forgeries map[int][]Forgery
 }
 
-func (a *forgerAdv) Name() string             { return "test-forger" }
-func (a *forgerAdv) Plan(v *View) []CrashPlan { return a.plans[v.Round] }
-func (a *forgerAdv) Forge(v *View) []Forgery  { return a.forgeries[v.Round] }
-func (a *forgerAdv) Clone() Adversary         { return a }
-
-var _ Forger = (*forgerAdv)(nil)
+func (a *forgerAdv) Name() string     { return "test-forger" }
+func (a *forgerAdv) Clone() Adversary { return a }
+func (a *forgerAdv) Plan(v *View) RoundPlan {
+	return RoundPlan{Crashes: a.plans[v.Round], Forgeries: a.forgeries[v.Round]}
+}
 
 func perReceiver(n int, f func(j int) int64) []int64 {
 	out := make([]int64, n)
@@ -203,9 +202,9 @@ func TestCloneCopiesCorruption(t *testing.T) {
 	if _, err := e.StepPhaseA(); err != nil {
 		t.Fatal(err)
 	}
-	err = e.FinishRoundForged(nil, []Forgery{
+	err = e.FinishRound(RoundPlan{Forgeries: []Forgery{
 		{Sender: 0, PerReceiver: perReceiver(n, func(int) int64 { return 1 })},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestFinishRoundDeliverAllocs(t *testing.T) {
 			{Victim: victim + 1, Deliver: maskB},
 		}
 		victim += 2
-		if err := exec.FinishRound(plans); err != nil {
+		if err := exec.FinishRound(RoundPlan{Crashes: plans}); err != nil {
 			t.Fatal(err)
 		}
 	}

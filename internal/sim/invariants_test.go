@@ -65,8 +65,8 @@ func TestEngineInvariantsFuzz(t *testing.T) {
 					forgeries = append(forgeries, Forgery{Sender: sender, PerReceiver: per})
 				}
 			}
-			if err := e.FinishRoundForged(plans, forgeries); err != nil {
-				t.Logf("FinishRoundForged: %v", err)
+			if err := e.FinishRound(RoundPlan{Crashes: plans, Forgeries: forgeries}); err != nil {
+				t.Logf("FinishRound: %v", err)
 				return false
 			}
 

@@ -12,27 +12,13 @@ package sim
 // netsim runner's omission-demotion machinery, keeping the two fault
 // ledgers (Crashes vs Faults.Demoted) separate on every lane.
 
-// Omitter is the optional adversary extension for adaptive omissions.
-// Drive (and the netsim runner) detect it; Omit is invoked once per
-// round after Phase A, alongside Plan, and its plans are applied after
-// Plan's crashes under the fault budget.
+// Omitter was the optional adversary extension for adaptive omissions.
+//
+// Deprecated: omissions are RoundPlan.Omissions, returned by Plan. No
+// adversary implements Omitter and no engine reads it. It survives only
+// for the guard in the end-to-end benchmark (e2ebench/lockstep.go); the
+// next change to that benchmark removes both.
 type Omitter interface {
 	Adversary
-	// Omit returns this round's omission plans: each victim's outgoing
-	// links are silenced from this round on, Deliver selecting which
-	// receivers still get its in-flight message. Plans beyond the fault
-	// budget, or naming dead or repeated victims, are skipped
-	// deterministically.
 	Omit(v *View) []CrashPlan
-}
-
-// FaultBudgetLeft returns the omission demotions the execution may
-// still absorb under Config.FaultBudget. Read-only value; omission
-// adversaries use it the way crash adversaries use View.Budget.
-func (e *Execution) FaultBudgetLeft() int {
-	left := e.cfg.FaultBudget - e.faults.CrashEquivalent()
-	if left < 0 {
-		return 0
-	}
-	return left
 }

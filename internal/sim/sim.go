@@ -76,13 +76,24 @@ type CrashPlan struct {
 	Deliver *BitSet
 }
 
+// RoundPlan is everything an adversary does in one round. Crashes fail
+// victims against the crash budget T. Omissions silence victims' outgoing
+// links from this round on, with the same partial-delivery semantics as
+// a crash, and demote them against Config.FaultBudget. Forgeries corrupt
+// their senders (against T) and dictate what they send. FinishRound
+// applies forgeries, then crashes, then omissions.
+type RoundPlan struct {
+	Crashes, Omissions []CrashPlan
+	Forgeries          []Forgery
+}
+
 // View is the full-information snapshot handed to the adversary after
 // Phase A of a round. It is safe by contract: per-process state is
 // exposed only through read-only accessor methods (IsAlive, Payload,
 // ...), never as raw slices, so adversaries cannot mutate engine state
 // and cannot accidentally retain live buffers — which is what lets the
 // engine reuse one View (and its backing arrays) across rounds and
-// snapshots. A View is valid only for the duration of the Plan / Forge /
+// snapshots. A View is valid only for the duration of the Plan or
 // OnRound call it is passed to; to experiment with hypothetical futures,
 // snapshot Exec (Clone, CloneInto, or a SnapshotArena) and drive the
 // snapshot.
@@ -196,10 +207,11 @@ func (v *View) AliveCount() int {
 type Adversary interface {
 	// Name identifies the strategy in traces and experiment tables.
 	Name() string
-	// Plan is invoked once per round after Phase A. Plans that exceed the
-	// crash budget, name dead processes, or repeat a victim are ignored
-	// in order.
-	Plan(v *View) []CrashPlan
+	// Plan is invoked once per round after Phase A and returns the
+	// round's whole attack. Crash and omission plans that exceed their
+	// budget, name dead or corrupt processes, or repeat a victim are
+	// skipped in order (see ApplyVictims).
+	Plan(v *View) RoundPlan
 	// Clone returns a deep copy, used when snapshotting executions.
 	Clone() Adversary
 }
@@ -250,9 +262,9 @@ type Config struct {
 	// Observer: look-ahead rollouts must not recount hypothetical futures.
 	Metrics      *metrics.Engine
 	MetricsShard int
-	// FaultBudget bounds the omission demotions an Omitter adversary may
-	// charge (see FinishRoundOmitted): a budget of k absorbs exactly k
-	// demotions, and further omission plans are skipped deterministically.
+	// FaultBudget bounds the demotions a RoundPlan's Omissions may charge
+	// (see FinishRound): a budget of k absorbs exactly k demotions, and
+	// further omission plans are skipped deterministically.
 	// It is the lock-step mirror of netsim.Options.FaultBudget, kept
 	// distinct from the crash budget T exactly as the netsim runner keeps
 	// chaos faults distinct from adversary crashes.
@@ -277,7 +289,7 @@ var (
 // process stalls; Panics counts process panics isolated by the runner;
 // Demoted counts processes converted to crash faults — by the hardened
 // runner after missed round deadlines or unrecoverable omissions, or by
-// an adaptive-omission adversary (sim.Omitter) on any engine. Panics +
+// an adversary's RoundPlan.Omissions on any engine. Panics +
 // Demoted are the crash-equivalent faults charged against the fault
 // budget (distinct from the adversary's T).
 type Faults struct {
@@ -324,8 +336,8 @@ type Result struct {
 	// Validity: if all inputs were v, every decision is v.
 	Validity bool
 	// Faults accounts for non-crash faults absorbed during the run:
-	// chaos faults on the hardened runner, omission demotions from an
-	// Omitter adversary on any engine.
+	// chaos faults on the hardened runner, demotions from an adversary's
+	// RoundPlan.Omissions on any engine.
 	Faults Faults
 	// FaultNotes carries structured annotations for isolated failures
 	// (one line per recovered panic / demotion), newest last.
@@ -553,7 +565,7 @@ func resizeRecvBufs(s [][]Recv, n int) [][]Recv {
 
 // Exported accessors follow one aliasing contract, which DESIGN.md's
 // model section documents: scalar accessors (N, T, Round, Budget, Alive,
-// Halted, Corrupt, Input) return values and never alias engine state;
+// Halted, Corrupt) return values and never alias engine state;
 // slice-returning accessors (Inputs, Result) return fresh copies the
 // caller owns; Process is the single deliberate exception — it hands out
 // the LIVE state machine, because the full-information adversary is
@@ -578,12 +590,8 @@ func (e *Execution) Alive(p int) bool { return e.alive[p] }
 // Halted reports whether process p stopped voluntarily. Read-only value.
 func (e *Execution) Halted(p int) bool { return e.halted[p] }
 
-// Input returns process p's initial value without allocating.
-func (e *Execution) Input(p int) int { return e.inputs[p] }
-
 // Inputs returns a copy of the initial values. The caller owns the
-// returned slice; mutating it does not affect the execution. Use Input
-// for allocation-free single-element access.
+// returned slice; mutating it does not affect the execution.
 func (e *Execution) Inputs() []int { return append([]int(nil), e.inputs...) }
 
 // Process exposes process p's state machine (full-information model).
@@ -828,85 +836,89 @@ func (e *Execution) view(r int) *View {
 	return &e.viewBuf
 }
 
-// FinishRound applies the adversary's crash plans and performs Phase B
-// (message delivery) of the open round, then updates decision and halt
-// bookkeeping. Invalid plans (dead or repeated victims, out-of-range
-// indices, plans beyond the budget) are skipped deterministically.
-func (e *Execution) FinishRound(plans []CrashPlan) error {
-	return e.FinishRoundOmitted(plans, nil)
+// ApplyVictims is the victim rule of every engine and runner, for crash
+// and omission plans alike. It walks plans in order and skips a plan
+// whose victim is out of range, dead, or corrupt; a victim repeated
+// within the round is dead by its second plan. Once spent reaches budget
+// it stops. Each accepted victim is marked dead in alive and handed to
+// apply. corrupt may be nil where nothing can be corrupted.
+func ApplyVictims(plans []CrashPlan, alive, corrupt []bool, spent, budget int, apply func(CrashPlan)) {
+	for _, plan := range plans {
+		v := plan.Victim
+		if v < 0 || v >= len(alive) || !alive[v] || (corrupt != nil && corrupt[v]) {
+			continue
+		}
+		if spent >= budget {
+			return
+		}
+		alive[v] = false
+		spent++
+		apply(plan)
+	}
 }
 
-// FinishRoundOmitted is FinishRound plus adaptive-omission demotions:
-// each omission plan silences one victim's outgoing links from this
-// round on (Deliver selects which receivers still get its round
-// message, exactly as in a CrashPlan), after which the victim is
-// send-omission faulty — crash-equivalent, charged against
-// Config.FaultBudget as a demotion rather than against the adversary's
-// crash budget T. Omission plans past the budget (or naming dead or
-// repeated victims) are skipped deterministically, mirroring the crash
-// rules, so every engine and runner stays byte-identical.
-func (e *Execution) FinishRoundOmitted(plans, omissions []CrashPlan) error {
+// victimDown applies one accepted victim on the object path: it charges
+// the ledger, keeps the victim's delivery mask for Phase B and reports
+// the event. crash selects an adversary crash over an omission demotion.
+func (e *Execution) victimDown(r int, p CrashPlan, crash bool) {
+	v := p.Victim
+	e.charge(crash)
+	e.deliver[v] = e.deliverSlot(v, p.Deliver)
+	if obs := e.cfg.Observer; obs != nil {
+		delivered := 0
+		if e.sending[v] {
+			delivered = e.deliver[v].Count()
+		}
+		obs.OnCrash(r, v, delivered)
+	}
+}
+
+// charge records one accepted victim on both cores' ledger and metrics:
+// an adversary crash against T, or a demotion against the fault budget.
+func (e *Execution) charge(crash bool) {
+	m := e.cfg.Metrics
+	if crash {
+		e.crashed++
+		if m != nil {
+			m.CrashesAdversary.Inc(e.cfg.MetricsShard)
+		}
+		return
+	}
+	e.faults.Demoted++
+	if m != nil {
+		m.Demotions.Inc(e.cfg.MetricsShard)
+	}
+}
+
+// FinishRound applies the adversary's round plan and performs Phase B
+// (message delivery) of the open round, then updates decision and halt
+// bookkeeping. Forgeries are applied first, then crashes, then
+// omissions; that order is part of the cross-lane event-log contract
+// the conformance harness diffs. Invalid crash and omission plans are
+// skipped deterministically by ApplyVictims. The first plan carrying
+// forgeries moves a SoA execution to the object path for good.
+func (e *Execution) FinishRound(plan RoundPlan) error {
 	if !e.phaseAOpen {
 		return errors.New("sim: FinishRound called without an open round")
 	}
+	if len(plan.Forgeries) > 0 {
+		if e.tallyMode {
+			// Corruption needs per-receiver payloads, which tally columns
+			// cannot carry: sync the process objects from the kernel and
+			// run the object path from here on (dropping back is always
+			// behavior-preserving, the reverse is not).
+			e.leaveTallyMode()
+		}
+		e.applyForgeries(plan.Forgeries)
+	}
 	if e.tallyMode {
-		return e.finishRoundTally(plans, omissions)
+		return e.finishRoundTally(plan)
 	}
 	r := e.round + 1
-	// The corrupt count cannot change during crash application (only
-	// applyForgeries corrupts), so hoist it out of the budget check.
-	budgetUsed := e.crashed + e.CorruptCount()
-	for _, plan := range plans {
-		v := plan.Victim
-		if v < 0 || v >= e.cfg.N || !e.alive[v] || e.corrupt[v] {
-			continue
-		}
-		if budgetUsed >= e.cfg.T {
-			break
-		}
-		e.alive[v] = false
-		e.crashed++
-		budgetUsed++
-		e.deliver[v] = e.deliverSlot(v, plan.Deliver)
-		if obs := e.cfg.Observer; obs != nil {
-			delivered := 0
-			if e.sending[v] {
-				delivered = e.deliver[v].Count()
-			}
-			obs.OnCrash(r, v, delivered)
-		}
-		if m := e.cfg.Metrics; m != nil {
-			m.CrashesAdversary.Inc(e.cfg.MetricsShard)
-		}
-	}
-	// Omission demotions after crashes: the same victim-application
-	// rules against the fault budget. The ordering (all crash events,
-	// then all omission events) is part of the cross-lane event-log
-	// contract the conformance harness diffs.
-	spent := e.faults.CrashEquivalent()
-	for _, plan := range omissions {
-		v := plan.Victim
-		if v < 0 || v >= e.cfg.N || !e.alive[v] || e.corrupt[v] {
-			continue
-		}
-		if spent >= e.cfg.FaultBudget {
-			break
-		}
-		e.alive[v] = false
-		e.faults.Demoted++
-		spent++
-		e.deliver[v] = e.deliverSlot(v, plan.Deliver)
-		if obs := e.cfg.Observer; obs != nil {
-			delivered := 0
-			if e.sending[v] {
-				delivered = e.deliver[v].Count()
-			}
-			obs.OnCrash(r, v, delivered)
-		}
-		if m := e.cfg.Metrics; m != nil {
-			m.Demotions.Inc(e.cfg.MetricsShard)
-		}
-	}
+	ApplyVictims(plan.Crashes, e.alive, e.corrupt, e.crashed+e.CorruptCount(), e.cfg.T,
+		func(p CrashPlan) { e.victimDown(r, p, true) })
+	ApplyVictims(plan.Omissions, e.alive, e.corrupt, e.faults.CrashEquivalent(), e.cfg.FaultBudget,
+		func(p CrashPlan) { e.victimDown(r, p, false) })
 
 	// Phase B: build next-round inboxes.
 	deliveredBefore := e.messages
@@ -1035,6 +1047,40 @@ func (e *Execution) Run(adv Adversary) (*Result, error) {
 		return nil, err
 	}
 	return e.Result(), nil
+}
+
+// Drive runs the execution under adv to completion exactly as Run does,
+// but without assembling a Result. Monte-Carlo rollouts use it with the
+// ConsensusValue / HaltRound accessors so look-ahead classification
+// allocates nothing per rollout.
+func (e *Execution) Drive(adv Adversary) error {
+	for !e.Done() {
+		if e.round >= e.cfg.MaxRounds {
+			return fmt.Errorf("%w (protocol still running after %d rounds, adversary %q)",
+				ErrMaxRounds, e.round, adv.Name())
+		}
+		if _, err := e.StepRound(adv); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// StepRound runs one whole round under adv: StepPhaseA, the observer's
+// OnRound, adv.Plan on the round's view, then FinishRound with that plan.
+// It returns the plan as Plan produced it. Drive is StepRound in a loop;
+// every caller that steps an execution round by round uses it too, so no
+// caller can drop part of an adversary's plan.
+func (e *Execution) StepRound(adv Adversary) (RoundPlan, error) {
+	v, err := e.StepPhaseA()
+	if err != nil {
+		return RoundPlan{}, err
+	}
+	if obs := e.cfg.Observer; obs != nil {
+		obs.OnRound(v.Round, v)
+	}
+	plan := adv.Plan(v)
+	return plan, e.FinishRound(plan)
 }
 
 // Result summarizes the execution so far. It is meaningful once Done.

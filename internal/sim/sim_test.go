@@ -51,16 +51,16 @@ type planAdversary struct {
 }
 
 func (a *planAdversary) Name() string { return "plan" }
-func (a *planAdversary) Plan(v *View) []CrashPlan {
-	return a.plans[v.Round]
+func (a *planAdversary) Plan(v *View) RoundPlan {
+	return RoundPlan{Crashes: a.plans[v.Round]}
 }
 func (a *planAdversary) Clone() Adversary { return a }
 
 type noneAdversary struct{}
 
-func (noneAdversary) Name() string           { return "none" }
-func (noneAdversary) Plan(*View) []CrashPlan { return nil }
-func (noneAdversary) Clone() Adversary       { return noneAdversary{} }
+func (noneAdversary) Name() string         { return "none" }
+func (noneAdversary) Plan(*View) RoundPlan { return RoundPlan{} }
+func (noneAdversary) Clone() Adversary     { return noneAdversary{} }
 
 func mkProcs(n, decideAt, haltAt int, inputs []int) []Process {
 	ps := make([]Process, n)
@@ -393,7 +393,7 @@ func TestStepErrors(t *testing.T) {
 	inputs := uniformInputs(2, 0)
 	procs := mkProcs(2, 1, 2, inputs)
 	e, _ := NewExecution(Config{N: 2, T: 0}, procs, inputs, 1)
-	if err := e.FinishRound(nil); err == nil {
+	if err := e.FinishRound(RoundPlan{}); err == nil {
 		t.Fatal("FinishRound without an open round must fail")
 	}
 	if _, err := e.StepPhaseA(); err != nil {
@@ -414,7 +414,7 @@ func TestCloneIndependence(t *testing.T) {
 	if _, err := e.StepPhaseA(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FinishRound(nil); err != nil {
+	if err := e.FinishRound(RoundPlan{}); err != nil {
 		t.Fatal(err)
 	}
 	c := e.Clone()
@@ -451,14 +451,14 @@ func TestCloneMidPhaseA(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.Clone()
-	if err := c.FinishRound(nil); err != nil {
+	if err := c.FinishRound(RoundPlan{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Run(noneAdversary{}); err != nil {
 		t.Fatal(err)
 	}
 	// Original round is still open and can be finished too.
-	if err := e.FinishRound(nil); err != nil {
+	if err := e.FinishRound(RoundPlan{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -518,7 +518,7 @@ func TestViewAliveCount(t *testing.T) {
 	if v.AliveCount() != n {
 		t.Fatalf("AliveCount = %d, want %d", v.AliveCount(), n)
 	}
-	if err := e.FinishRound([]CrashPlan{{Victim: 3}}); err != nil {
+	if err := e.FinishRound(RoundPlan{Crashes: []CrashPlan{{Victim: 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	v, err = e.StepPhaseA()
@@ -528,7 +528,7 @@ func TestViewAliveCount(t *testing.T) {
 	if v.AliveCount() != n-1 {
 		t.Fatalf("AliveCount after crash = %d, want %d", v.AliveCount(), n-1)
 	}
-	if err := e.FinishRound(nil); err != nil {
+	if err := e.FinishRound(RoundPlan{}); err != nil {
 		t.Fatal(err)
 	}
 }

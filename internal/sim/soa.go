@@ -250,20 +250,20 @@ func (e *Execution) groupSlot(gi int, mask *BitSet) *BitSet {
 	return s
 }
 
-// finishRoundTally is the columnar Phase B: apply the crash plans (and
-// any omission demotions) under exactly the object path's validity
-// rules, then compute every eligible receiver's next-round tally as
-// (full-broadcast totals) − (own broadcast) + (per-mask group
-// contributions), instead of appending n² inbox entries.
-func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
+// finishRoundTally is the columnar Phase B: apply the crash and omission
+// plans under the object path's victim rule, then compute every eligible
+// receiver's next-round tally as (full-broadcast totals) − (own
+// broadcast) + (per-mask group contributions), instead of appending n²
+// inbox entries.
+func (e *Execution) finishRoundTally(plan RoundPlan) error {
 	r := e.round + 1
 	n := e.cfg.N
 	obs := e.cfg.Observer
 	met := e.cfg.Metrics
 
-	// Victim application: same order, same skip/budget rules as the
-	// object path. Victims whose final message still reaches someone are
-	// grouped by the adversary's original mask pointer; each distinct
+	// Victim application: ApplyVictims, exactly as on the object path.
+	// Victims whose final message still reaches someone are grouped by
+	// the adversary's original mask pointer; each distinct
 	// mask is copied into engine scratch ONCE per group, so a mass-crash
 	// plan sharing one mask costs O(n/64) total, not O(victims·n/64).
 	// Victims delivering to no one (not sending, or a nil mask) keep a
@@ -272,70 +272,51 @@ func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
 	// omission demotions (against the fault budget); the groups
 	// accumulate across both passes.
 	groups := e.victimGroups[:0]
-	apply := func(victims []CrashPlan, budget int, spent int, crash bool) {
-		for _, plan := range victims {
-			v := plan.Victim
-			if v < 0 || v >= n || !e.alive[v] || e.corrupt[v] {
-				continue
+	down := func(p CrashPlan, crash bool) {
+		v := p.Victim
+		e.charge(crash)
+		e.deliver[v] = nil
+		delivered := 0
+		if e.sending[v] && p.Deliver != nil {
+			gi := -1
+			for g := range groups {
+				if groups[g].orig == p.Deliver {
+					gi = g
+					break
+				}
 			}
-			if spent >= budget {
-				break
+			if gi < 0 {
+				cp := e.groupSlot(len(groups), p.Deliver)
+				groups = append(groups, soaGroup{
+					orig: p.Deliver, mask: cp, delivered: cp.Count(),
+				})
+				gi = len(groups) - 1
 			}
-			e.alive[v] = false
-			if crash {
-				e.crashed++
+			g := &groups[gi]
+			delivered = g.delivered
+			e.deliver[v] = g.mask
+			c := e.classify(e.payloads[v])
+			g.cnt++
+			if c.one {
+				g.ones++
 			} else {
-				e.faults.Demoted++
+				g.zeros++
 			}
-			spent++
-			e.deliver[v] = nil
-			delivered := 0
-			if e.sending[v] && plan.Deliver != nil {
-				gi := -1
-				for g := range groups {
-					if groups[g].orig == plan.Deliver {
-						gi = g
-						break
-					}
-				}
-				if gi < 0 {
-					cp := e.groupSlot(len(groups), plan.Deliver)
-					groups = append(groups, soaGroup{
-						orig: plan.Deliver, mask: cp, delivered: cp.Count(),
-					})
-					gi = len(groups) - 1
-				}
-				g := &groups[gi]
-				delivered = g.delivered
-				e.deliver[v] = g.mask
-				c := e.classify(e.payloads[v])
-				g.cnt++
-				if c.one {
-					g.ones++
-				} else {
-					g.zeros++
-				}
-				if c.mz {
-					g.mz++
-				}
-				if c.mo {
-					g.mo++
-				}
+			if c.mz {
+				g.mz++
 			}
-			if obs != nil {
-				obs.OnCrash(r, v, delivered)
-			}
-			if met != nil {
-				if crash {
-					met.CrashesAdversary.Inc(e.cfg.MetricsShard)
-				} else {
-					met.Demotions.Inc(e.cfg.MetricsShard)
-				}
+			if c.mo {
+				g.mo++
 			}
 		}
+		if obs != nil {
+			obs.OnCrash(r, v, delivered)
+		}
 	}
-	apply(plans, e.cfg.T, e.crashed+e.CorruptCount(), true)
-	apply(omissions, e.cfg.FaultBudget, e.faults.CrashEquivalent(), false)
+	ApplyVictims(plan.Crashes, e.alive, e.corrupt, e.crashed+e.CorruptCount(), e.cfg.T,
+		func(p CrashPlan) { down(p, true) })
+	ApplyVictims(plan.Omissions, e.alive, e.corrupt, e.faults.CrashEquivalent(), e.cfg.FaultBudget,
+		func(p CrashPlan) { down(p, false) })
 	e.victimGroups = groups
 
 	// Eligible receivers — alive && !halted && !corrupt after this
@@ -462,43 +443,6 @@ func (e *Execution) procStopped(i int) bool {
 		return e.kernel.KernelStopped(i)
 	}
 	return e.procs[i].Stopped()
-}
-
-// Drive runs the execution under adv to completion exactly as Run does,
-// but without assembling a Result. Monte-Carlo rollouts use it with the
-// ConsensusValue / HaltRound accessors so look-ahead classification
-// allocates nothing per rollout.
-func (e *Execution) Drive(adv Adversary) error {
-	for !e.Done() {
-		if e.round >= e.cfg.MaxRounds {
-			return fmt.Errorf("%w (protocol still running after %d rounds, adversary %q)",
-				ErrMaxRounds, e.round, adv.Name())
-		}
-		v, err := e.StepPhaseA()
-		if err != nil {
-			return err
-		}
-		if obs := e.cfg.Observer; obs != nil {
-			obs.OnRound(v.Round, v)
-		}
-		plans := adv.Plan(v)
-		if om, ok := adv.(Omitter); ok {
-			if err := e.FinishRoundOmitted(plans, om.Omit(v)); err != nil {
-				return err
-			}
-			continue
-		}
-		if forger, ok := adv.(Forger); ok {
-			if err := e.FinishRoundForged(plans, forger.Forge(v)); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := e.FinishRound(plans); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ConsensusValue returns the surviving processes' common decision value

@@ -68,7 +68,7 @@ func (a *LowerBound) Clone() sim.Adversary {
 }
 
 // Plan implements sim.Adversary.
-func (a *LowerBound) Plan(v *sim.View) []sim.CrashPlan {
+func (a *LowerBound) Plan(v *sim.View) sim.RoundPlan {
 	a.RoundsPlanned++
 	perRound := a.PerRound
 	if perRound <= 0 {
@@ -97,7 +97,7 @@ func (a *LowerBound) Plan(v *sim.View) []sim.CrashPlan {
 	if bestScore < 1 {
 		a.KeptUndecided++
 	}
-	return bestPlans
+	return sim.RoundPlan{Crashes: bestPlans}
 }
 
 // candScore maps a successor classification to a preference: keep
@@ -120,7 +120,7 @@ func candScore(est *Estimate) float64 {
 func (a *LowerBound) evaluate(v *sim.View, cand []sim.CrashPlan) (*Estimate, bool) {
 	c := a.arena.Snapshot(v.Exec)
 	defer a.arena.Release(c)
-	if err := c.FinishRound(cand); err != nil {
+	if err := c.FinishRound(sim.RoundPlan{Crashes: cand}); err != nil {
 		return nil, false
 	}
 	est, err := a.Est.Classify(c, v.Round)

@@ -71,19 +71,19 @@ func (a *Stepwise) Clone() sim.Adversary {
 }
 
 // Plan implements sim.Adversary.
-func (a *Stepwise) Plan(v *sim.View) []sim.CrashPlan {
+func (a *Stepwise) Plan(v *sim.View) sim.RoundPlan {
 	perRound := a.PerRound
 	if perRound > v.Budget {
 		perRound = v.Budget
 	}
 	if perRound <= 0 {
-		return nil
+		return sim.RoundPlan{}
 	}
 
 	// Step 0: full delivery.
 	base, ok := a.classify(v, nil)
 	if !ok || !base.Class.Univalent() {
-		return nil // bivalent or null-valent: pass all messages
+		return sim.RoundPlan{} // bivalent or null-valent: pass all messages
 	}
 
 	// The execution is univalent; walk the senders carrying the valence's
@@ -113,19 +113,19 @@ func (a *Stepwise) Plan(v *sim.View) []sim.CrashPlan {
 		case !est.Class.Univalent():
 			// Case 1: stop failing the rest, stay in this state.
 			a.walk = trial
-			return trial
+			return sim.RoundPlan{Crashes: trial}
 		case est.Class != current.Class:
 			// Case 2/3: failing this victim flips the valence. Try the
 			// half-delivery refinement before accepting the flip.
 			refined := append(plan, sim.CrashPlan{Victim: victim, Deliver: a.halfMask(v)})
 			if est2, ok2 := a.classify(v, refined); ok2 && !est2.Class.Univalent() {
 				a.walk = refined
-				return refined
+				return sim.RoundPlan{Crashes: refined}
 			}
 			// The paper's case 2: "we shall not fail this process and
 			// send all its messages" — keep the prefix without it.
 			a.walk = plan
-			return plan
+			return sim.RoundPlan{Crashes: plan}
 		default:
 			// Still the same valence: keep implementing the strategy.
 			plan = trial
@@ -133,7 +133,7 @@ func (a *Stepwise) Plan(v *sim.View) []sim.CrashPlan {
 		}
 	}
 	a.walk = plan
-	return plan
+	return sim.RoundPlan{Crashes: plan}
 }
 
 // classify applies the plan on an arena snapshot and classifies the
@@ -142,7 +142,7 @@ func (a *Stepwise) classify(v *sim.View, plan []sim.CrashPlan) (*Estimate, bool)
 	a.StepsInspected++
 	c := a.arena.Snapshot(v.Exec)
 	defer a.arena.Release(c)
-	if err := c.FinishRound(plan); err != nil {
+	if err := c.FinishRound(sim.RoundPlan{Crashes: plan}); err != nil {
 		return nil, false
 	}
 	est, err := a.Est.Classify(c, v.Round)

@@ -5,6 +5,7 @@ import (
 
 	"synran/internal/adversary"
 	"synran/internal/core"
+	"synran/internal/sim"
 )
 
 func TestStepwiseSafety(t *testing.T) {
@@ -74,10 +75,10 @@ func TestStepwisePassiveWhenNonUnivalent(t *testing.T) {
 	}
 	sw := NewStepwise(n, 5)
 	sw.Est.RolloutsPerAdversary = 16
-	if plans := sw.Plan(v); len(plans) != 0 {
+	if plans := sw.Plan(v).Crashes; len(plans) != 0 {
 		t.Fatalf("stepwise attacked a bivalent round-1 state: %v", plans)
 	}
-	if err := exec.FinishRound(nil); err != nil {
+	if err := exec.FinishRound(sim.RoundPlan{}); err != nil {
 		t.Fatal(err)
 	}
 }
