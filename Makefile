@@ -29,20 +29,21 @@ bench:
 
 # The snapshot-engine benchmarks recorded as a machine-readable JSON
 # artifact (the checked-in baseline CI gates against).
-BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|EngineAtScale
+BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|EngineAtScale|AsyncSplitter
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_sim.json
 
 # Re-run the snapshot benches once and fail if the arena estimator's
 # allocs/op regressed more than 20% against the checked-in baseline, the
 # disabled metrics path's more than 2% (the "metrics off = free"
-# budget), or the SoA stepwise lane's more than 34% (baseline 3
+# budget), the SoA stepwise lane's more than 34% (baseline 3
 # allocs/op, so the columnar core stays two orders of magnitude under
-# the object engine's 1063-alloc seed).
+# the object engine's 1063-alloc seed), or the async Splitter run's more
+# than 20% (no per-step View or per-phase map allocation).
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchtime=1x -benchmem . | \
 		$(GO) run ./cmd/benchjson -out /dev/null -baseline BENCH_sim.json \
-		-check 'BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20'
+		-check 'BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkAsyncSplitter=0.20'
 
 # Seeded chaos soak under the race detector: the fault injector, the
 # hardened synchronizer's safety/termination properties, and the

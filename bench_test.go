@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"synran/internal/adversary"
+	"synran/internal/async"
 	"synran/internal/core"
 	"synran/internal/experiments"
 	"synran/internal/metrics"
@@ -475,6 +476,38 @@ func BenchmarkSoAScaleExecution(b *testing.B) {
 		}
 		if !res.Agreement {
 			b.Fatal("agreement violated")
+		}
+	}
+}
+
+// BenchmarkAsyncSplitter runs E15's dominant cell on the asynchronous
+// engine: private-coin Ben-Or under the adaptive Splitter at n = 6,
+// t = 2, half/half inputs and E15's step cap of 25000·n. One op is the
+// same eight executions (seeds 1–8, all of which terminate), so
+// allocs/op does not depend on b.N and bench-check can gate it at
+// -benchtime=1x. Each delivery costs one Splitter scoring pass and one
+// view copy over the pending set (DESIGN.md, "Async engine").
+func BenchmarkAsyncSplitter(b *testing.B) {
+	const n, t = 6, 2
+	inputs := workload.HalfHalf(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for seed := uint64(1); seed <= 8; seed++ {
+			procs, err := async.NewBenOrProcs(n, t, inputs, async.CoinRandom, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			exec, err := async.NewExecution(async.Config{N: n, T: t, MaxSteps: 25000 * n}, procs, inputs, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := exec.Run(async.NewSplitter())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Agreement || !res.Validity {
+				b.Fatal("agreement or validity violated")
+			}
 		}
 	}
 }

@@ -46,14 +46,17 @@ type Process interface {
 	// Decided reports the irrevocable decision, if any.
 	Decided() (int, bool)
 	// Halted reports that the process will ignore all future deliveries.
+	// Its answer may change only inside the process's own Init or
+	// Deliver, and once true it stays true: the engine filters pending
+	// messages on it only at those points.
 	Halted() bool
 }
 
-// View is the scheduler's full-information snapshot. The Alive and
-// Pending slices are defensive copies owned by the engine's reusable
-// view buffers: mutating them cannot corrupt engine state, and they are
-// only valid for the duration of the Next call (the next step overwrites
-// them in place).
+// View is the scheduler's full-information snapshot. The engine keeps
+// one View and refills it in place every step, so the pointer Next
+// receives, and the Alive and Pending slices in it, are valid only for
+// the duration of that Next call. Alive and Pending are defensive
+// copies: mutating them cannot corrupt engine state.
 type View struct {
 	Step    int
 	N, T    int
@@ -139,18 +142,19 @@ type Execution struct {
 	procs  []Process
 	inputs []int
 	alive  []bool
-	// pending is kept in seq order; delivery removes by index.
+	// pending is kept in seq order; delivery removes by index. Invariant:
+	// no pending message has a dead sender, a dead receiver or a halted
+	// receiver (see live).
 	pending []Message
 	seq     int
 	steps   int
 	crashes int
 	advRng  *rng.Stream
 
-	// viewAlive/viewPending back the defensive copies handed to
-	// schedulers; reused across steps so views cost no allocation in
-	// steady state.
-	viewAlive   []bool
-	viewPending []Message
+	// view is the snapshot handed to schedulers, refilled in place each
+	// step; its Alive and Pending slices are reused across steps, so a
+	// view costs no allocation in steady state.
+	view View
 }
 
 // NewExecution assembles an asynchronous execution.
@@ -178,28 +182,41 @@ func NewExecution(cfg Config, procs []Process, inputs []int, seed uint64) (*Exec
 	for i, p := range procs {
 		e.enqueue(i, p.Init())
 	}
+	// A process may halt in its Init after earlier processes addressed it.
+	e.compactPending()
 	return e, nil
 }
 
-// enqueue expands a process's sends into pending messages.
+// live reports whether a message from -> to may stay pending: both
+// endpoints alive and the receiver not halted (it would ignore it).
+func (e *Execution) live(from, to int) bool {
+	return e.alive[from] && e.alive[to] && !e.procs[to].Halted()
+}
+
+// enqueue expands a process's sends into pending messages, dropping
+// those live rejects. A dropped message still consumes its sequence
+// number, so every Seq is the message's creation index.
 func (e *Execution) enqueue(from int, sends []Send) {
 	for _, s := range sends {
 		if s.To == Broadcast {
 			for j := 0; j < e.cfg.N; j++ {
-				if j == from {
-					continue
+				if j != from {
+					e.push(from, j, s.Payload)
 				}
-				e.pending = append(e.pending, Message{Seq: e.seq, From: from, To: j, Payload: s.Payload})
-				e.seq++
 			}
 			continue
 		}
-		if s.To < 0 || s.To >= e.cfg.N || s.To == from {
-			continue
+		if s.To >= 0 && s.To < e.cfg.N && s.To != from {
+			e.push(from, s.To, s.Payload)
 		}
-		e.pending = append(e.pending, Message{Seq: e.seq, From: from, To: s.To, Payload: s.Payload})
-		e.seq++
 	}
+}
+
+func (e *Execution) push(from, to int, payload int64) {
+	if e.live(from, to) {
+		e.pending = append(e.pending, Message{Seq: e.seq, From: from, To: to, Payload: payload})
+	}
+	e.seq++
 }
 
 // done reports whether every correct process has decided.
@@ -215,22 +232,21 @@ func (e *Execution) done() bool {
 	return true
 }
 
-// view assembles the scheduler's snapshot in the execution's reusable
-// buffers: Alive and Pending are defensive copies, so a buggy (or
-// malicious) scheduler mutating them cannot corrupt engine state.
-func (e *Execution) view() *View {
-	e.viewAlive = append(e.viewAlive[:0], e.alive...)
-	e.viewPending = append(e.viewPending[:0], e.pending...)
-	return &View{
+// snapshot refills the scheduler's view in place: Alive and Pending are
+// defensive copies, so a buggy (or malicious) scheduler mutating them
+// cannot corrupt engine state.
+func (e *Execution) snapshot() *View {
+	e.view = View{
 		Step:    e.steps,
 		N:       e.cfg.N,
 		T:       e.cfg.T,
 		Budget:  e.cfg.T - e.crashes,
-		Alive:   e.viewAlive,
-		Pending: e.viewPending,
+		Alive:   append(e.view.Alive[:0], e.alive...),
+		Pending: append(e.view.Pending[:0], e.pending...),
 		Procs:   e.procs,
 		Rng:     e.advRng,
 	}
+	return &e.view
 }
 
 // findSeq locates the pending message with the given sequence number
@@ -253,19 +269,21 @@ func (e *Execution) findSeq(seq int) int {
 
 // Run drives the execution until every correct process decides, the
 // schedule starves (no deliverable messages), or MaxSteps is hit.
+// Pending is filtered again only when live's answer can change — after
+// a crash and after a Deliver that leaves its receiver halted — so a
+// step costs one pass over pending (the view copy) plus the scheduler's.
 func (e *Execution) Run(sched Scheduler) (*Result, error) {
 	for !e.done() {
 		if e.steps >= e.cfg.MaxSteps {
 			return nil, fmt.Errorf("%w (scheduler %q, %d steps)", ErrMaxSteps, sched.Name(), e.steps)
 		}
-		e.compactPending()
 		if len(e.pending) == 0 {
 			// Starvation with undecided correct processes: in the crash
 			// model this means the protocol needed more messages than
 			// exist — count it as non-termination.
 			return nil, fmt.Errorf("%w (no pending messages after %d steps)", ErrMaxSteps, e.steps)
 		}
-		act := sched.Next(e.view())
+		act := sched.Next(e.snapshot())
 		// Resolve the chosen message BY IDENTITY (its Seq) before any
 		// crash processing: indices into pending are not stable across
 		// the recompaction a crash triggers.
@@ -291,7 +309,7 @@ func (e *Execution) Run(sched Scheduler) (*Result, error) {
 			// again on the post-crash state instead of silently clamping
 			// to index 0. Only the Deliver choice is honoured (one crash
 			// per step); an invalid second pick falls back to index 0.
-			re := sched.Next(e.view())
+			re := sched.Next(e.snapshot())
 			idx = re.Deliver
 			if idx < 0 || idx >= len(e.pending) {
 				idx = 0
@@ -303,23 +321,23 @@ func (e *Execution) Run(sched Scheduler) (*Result, error) {
 		if d, ok := sched.(DeliveryObserver); ok {
 			d.Delivered(m)
 		}
-		if e.alive[m.To] && !e.procs[m.To].Halted() {
-			e.enqueue(m.To, e.procs[m.To].Deliver(m.From, m.Payload))
+		// The invariant makes m.To alive and not halted.
+		p := e.procs[m.To]
+		e.enqueue(m.To, p.Deliver(m.From, m.Payload))
+		if p.Halted() {
+			e.compactPending()
 		}
 	}
 	return e.result(), nil
 }
 
-// compactPending drops messages to or from crashed processes and to
-// halted ones (they would be ignored anyway), keeping the scheduler's
-// choice set meaningful.
+// compactPending drops the pending messages live rejects.
 func (e *Execution) compactPending() {
 	out := e.pending[:0]
 	for _, m := range e.pending {
-		if !e.alive[m.From] || !e.alive[m.To] || e.procs[m.To].Halted() {
-			continue
+		if e.live(m.From, m.To) {
+			out = append(out, m)
 		}
-		out = append(out, m)
 	}
 	e.pending = out
 }

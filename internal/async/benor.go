@@ -83,8 +83,12 @@ type BenOr struct {
 	phase int
 	stage int // 1 = collecting reports, 2 = collecting proposals
 
-	reports   map[int]*[2]int // phase -> counts of reported 0/1
-	proposals map[int]*[3]int // phase -> counts of proposed 0/1/bottom
+	// reports[p] and proposals[p] count phase p's reported 0/1 and
+	// proposed 0/1/bottom values (index 0 unused). They grow on demand,
+	// so messages for a later phase stay buffered until that phase's
+	// wave reads them.
+	reports   [][2]int
+	proposals [][3]int
 
 	flips   int
 	decided bool
@@ -110,8 +114,6 @@ func NewBenOr(id, n, t, input int, mode CoinMode, stream *rng.Stream) (*BenOr, e
 	return &BenOr{
 		id: id, n: n, t: t, mode: mode, rng: stream,
 		v: input, phase: 1, stage: 1,
-		reports:   make(map[int]*[2]int),
-		proposals: make(map[int]*[3]int),
 	}, nil
 }
 
@@ -194,22 +196,20 @@ func (b *BenOr) takeOut() []Send {
 	return out
 }
 
+// countReport and countProposal ignore phases below 1: no wave ever
+// reads them.
 func (b *BenOr) countReport(phase, val int) {
-	c, ok := b.reports[phase]
-	if !ok {
-		c = &[2]int{}
-		b.reports[phase] = c
+	if phase >= 1 {
+		b.reports = grow(b.reports, phase)
+		b.reports[phase][val]++
 	}
-	c[val]++
 }
 
 func (b *BenOr) countProposal(phase, val int) {
-	c, ok := b.proposals[phase]
-	if !ok {
-		c = &[3]int{}
-		b.proposals[phase] = c
+	if phase >= 1 {
+		b.proposals = grow(b.proposals, phase)
+		b.proposals[phase][val]++
 	}
-	c[val]++
 }
 
 // advance runs the phase state machine as far as the buffered counts
@@ -218,8 +218,11 @@ func (b *BenOr) advance() {
 	for !b.halted {
 		switch b.stage {
 		case 1: // waiting for n-t reports of the current phase
+			if b.phase >= len(b.reports) {
+				return
+			}
 			c := b.reports[b.phase]
-			if c == nil || c[0]+c[1] < b.n-b.t {
+			if c[0]+c[1] < b.n-b.t {
 				return
 			}
 			prop := valBottom
@@ -232,8 +235,11 @@ func (b *BenOr) advance() {
 			b.send(Pack(typePropose, b.phase, prop))
 			b.stage = 2
 		case 2: // waiting for n-t proposals of the current phase
+			if b.phase >= len(b.proposals) {
+				return
+			}
 			c := b.proposals[b.phase]
-			if c == nil || c[0]+c[1]+c[2] < b.n-b.t {
+			if c[0]+c[1]+c[2] < b.n-b.t {
 				return
 			}
 			switch {

@@ -56,17 +56,17 @@ func (s *RandomSched) Next(v *View) Action {
 // it recreates the FLP bivalence loop; against the randomized variant
 // it maximizes the number of coin-flip phases.
 type Splitter struct {
-	// seen[r][v] counts REPORT values already delivered to receiver r in
-	// the receiver's current phase bucket (approximated by phase number).
-	seen map[int]map[int]*[2]int
+	// seen[r][p] counts the REPORT values 0/1 already delivered to
+	// receiver r for phase p (Ben-Or phases are never negative). Both
+	// levels grow in Delivered; score reads missing cells as zero
+	// without creating them.
+	seen [][][2]int
 }
 
 var _ Scheduler = (*Splitter)(nil)
 
 // NewSplitter builds the adaptive scheduler.
-func NewSplitter() *Splitter {
-	return &Splitter{seen: make(map[int]map[int]*[2]int)}
-}
+func NewSplitter() *Splitter { return &Splitter{} }
 
 // Name implements Scheduler.
 func (s *Splitter) Name() string { return "splitter" }
@@ -92,7 +92,14 @@ func (s *Splitter) Next(v *View) Action {
 
 // Delivered implements DeliveryObserver: the tally counts true
 // deliveries only.
-func (s *Splitter) Delivered(m Message) { s.record(m) }
+func (s *Splitter) Delivered(m Message) {
+	typ, phase, val := Unpack(m.Payload)
+	if typ == typeReport && (val == 0 || val == 1) && phase >= 0 {
+		s.seen = grow(s.seen, m.To)
+		s.seen[m.To] = grow(s.seen[m.To], phase)
+		s.seen[m.To][phase][val]++
+	}
+}
 
 // RecordedReports returns the total number of report deliveries in the
 // seen tally — the quantity the conformance harness cross-checks against
@@ -122,12 +129,14 @@ func (s *Splitter) score(m Message) int {
 		if val != 0 && val != 1 {
 			return 500
 		}
-		c := s.counts(m.To, phase)
+		var c [2]int
+		if m.To < len(s.seen) && phase >= 0 && phase < len(s.seen[m.To]) {
+			c = s.seen[m.To][phase]
+		}
 		// Delivering the minority value reduces imbalance: score by the
 		// resulting imbalance of the receiver's tally.
-		after := [2]int{c[0], c[1]}
-		after[val]++
-		imb := after[0] - after[1]
+		c[val]++
+		imb := c[0] - c[1]
 		if imb < 0 {
 			imb = -imb
 		}
@@ -137,26 +146,12 @@ func (s *Splitter) score(m Message) int {
 	}
 }
 
-func (s *Splitter) counts(receiver, phase int) *[2]int {
-	byPhase, ok := s.seen[receiver]
-	if !ok {
-		byPhase = make(map[int]*[2]int)
-		s.seen[receiver] = byPhase
+// grow returns s extended with zero values so that index i exists.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
 	}
-	c, ok := byPhase[phase]
-	if !ok {
-		c = &[2]int{}
-		byPhase[phase] = c
-	}
-	return c
-}
-
-// record tracks one actual delivery.
-func (s *Splitter) record(m Message) {
-	typ, phase, val := Unpack(m.Payload)
-	if typ == typeReport && (val == 0 || val == 1) {
-		s.counts(m.To, phase)[val]++
-	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 // SyncRound emulates the synchronous lock-step schedule on the
