@@ -82,8 +82,11 @@ type Proc struct {
 	b       int  // current choice for the consensus value
 	decided bool // the pseudocode's `decided` flag (revocable!)
 
-	st         stage
-	nHist      []int // nHist[r-1] = N_i^r, the messages received in round r
+	st stage
+	// nHist[r-1] = N_i^r, the messages received in round r; rounds <= 0
+	// read as n (histN). It stays nil until the object path's first
+	// probRound, so the columnar kernel's vectors never allocate it.
+	nHist      []int
 	q          float64
 	flip       func() int // nil = fair coin from rng; tests may script it
 	floodMask  int64
@@ -97,47 +100,66 @@ var _ sim.Process = (*Proc)(nil)
 // NewProc builds one SynRan process with the given input bit. The rng
 // stream must be private to this process.
 func NewProc(id, n, input int, stream *rng.Stream, opts Options) (*Proc, error) {
-	if input != 0 && input != 1 {
-		return nil, fmt.Errorf("core: input %d for process %d, want 0 or 1", input, id)
+	if err := checkInput(id, input); err != nil {
+		return nil, err
 	}
 	if n <= 0 || id < 0 || id >= n {
 		return nil, fmt.Errorf("core: process id %d out of range for n=%d", id, n)
 	}
-	fl := opts.FloodRounds
-	if fl <= 0 {
-		fl = FloodRounds(n)
-	}
-	return &Proc{
-		id:   id,
-		n:    n,
-		rng:  stream,
-		opts: opts,
-		b:    input,
-		st:   stageProb,
-		q:    DetThreshold(n),
-		// nHist is indexed by round; rounds <= 0 read as n (the
-		// pseudocode's N^{-1} = N^0 = n initialization).
-		nHist:     make([]int, 0, 16),
-		floodLeft: fl,
-	}, nil
+	p := new(Proc)
+	p.init(id, n, input, stream, opts, DetThreshold(n), floodLen(n, opts))
+	return p, nil
 }
 
 // NewProcs builds the full process vector for an execution, splitting
-// one rng stream per process from seed.
+// one rng stream per process from seed. The vector is three slabs — the
+// Procs, their streams and the []sim.Process — so construction costs a
+// constant number of allocations whatever n is; a Proc handed out of
+// the vector keeps the whole slab it lives in reachable.
 func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, error) {
 	if len(inputs) != n {
 		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), n)
 	}
-	root := rng.New(seed)
-	procs := make([]sim.Process, n)
-	for i := range procs {
-		p, err := NewProc(i, n, inputs[i], root.Split(uint64(i)), opts)
-		if err != nil {
+	for i, x := range inputs {
+		if err := checkInput(i, x); err != nil {
 			return nil, err
 		}
-		procs[i] = p
+	}
+	var root rng.Stream
+	root.Reseed(seed)
+	q, fl := DetThreshold(n), floodLen(n, opts)
+	slab := make([]Proc, n)
+	streams := make([]rng.Stream, n)
+	procs := make([]sim.Process, n)
+	for i := range slab {
+		root.SplitInto(uint64(i), &streams[i])
+		slab[i].init(i, n, inputs[i], &streams[i], opts, q, fl)
+		procs[i] = &slab[i]
 	}
 	return procs, nil
+}
+
+func checkInput(id, input int) error {
+	if input != 0 && input != 1 {
+		return fmt.Errorf("core: input %d for process %d, want 0 or 1", input, id)
+	}
+	return nil
+}
+
+// floodLen is the deterministic stage length: opts.FloodRounds, or
+// FloodRounds(n) when that is unset.
+func floodLen(n int, opts Options) int {
+	if opts.FloodRounds > 0 {
+		return opts.FloodRounds
+	}
+	return FloodRounds(n)
+}
+
+// init sets p to a fresh process at round zero. q and floodLeft are
+// DetThreshold(n) and the stage length, which NewProcs computes once per
+// vector.
+func (p *Proc) init(id, n, input int, stream *rng.Stream, opts Options, q float64, floodLeft int) {
+	*p = Proc{id: id, n: n, rng: stream, opts: opts, b: input, st: stageProb, q: q, floodLeft: floodLeft}
 }
 
 // B returns the process's current choice for the consensus value.
@@ -258,6 +280,9 @@ func (p *Proc) probRound(rr int, inbox []sim.Recv) (int64, bool) {
 		zeros++
 	}
 	n := len(inbox) + 1
+	if p.nHist == nil {
+		p.nHist = make([]int, 0, 16)
+	}
 	p.nHist = append(p.nHist, n)
 	if len(p.nHist) != rr {
 		// Defensive: history must stay aligned with round numbers.

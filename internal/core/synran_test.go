@@ -383,6 +383,9 @@ func TestNewProcValidation(t *testing.T) {
 	if _, err := NewProcs(4, []int{0, 1}, 1, Options{}); err == nil {
 		t.Fatal("mismatched inputs must be rejected")
 	}
+	if _, err := NewProcs(3, []int{0, 1, 2}, 1, Options{}); err == nil {
+		t.Fatal("input 2 in a vector must be rejected")
+	}
 }
 
 func TestPayloadEncoding(t *testing.T) {

@@ -233,14 +233,6 @@ func (j *Journal) Appends() int {
 	return j.appends
 }
 
-// Records returns the total records the journal holds: recovered plus
-// appended this session.
-func (j *Journal) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.loaded + j.appends
-}
-
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 

@@ -45,3 +45,26 @@ func TestUint64AtMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitIntoInPlace pins SplitInto's aliasing claim: splitting a
+// stream into itself gives the child Split would return, and writing a
+// child into existing storage allocates nothing.
+func TestSplitIntoInPlace(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 0xdeadbeef} {
+		for _, key := range []uint64{0, 5, ^uint64(0)} {
+			r := New(seed)
+			want := r.Split(key)
+			r.SplitInto(key, r)
+			for i := 0; i < 8; i++ {
+				if got, w := r.Uint64(), want.Uint64(); got != w {
+					t.Fatalf("seed=%#x key=%#x step %d: in-place SplitInto %#x, Split %#x", seed, key, i, got, w)
+				}
+			}
+		}
+	}
+	var r, dst Stream
+	r.Reseed(3)
+	if n := testing.AllocsPerRun(100, func() { r.SplitInto(9, &dst) }); n != 0 {
+		t.Fatalf("SplitInto allocates %.1f times per call, want 0", n)
+	}
+}

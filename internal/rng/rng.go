@@ -59,19 +59,27 @@ func (r *Stream) CopyFrom(src *Stream) {
 // with distinct keys, and the parent, produce statistically independent
 // sequences; splitting does not advance the parent.
 func (r *Stream) Split(key uint64) *Stream {
+	var st Stream
+	r.SplitInto(key, &st)
+	return &st
+}
+
+// SplitInto writes Split(key) into dst without allocating, so a caller
+// deriving many children can keep them in one slab (core.NewProcs keeps
+// one []Stream per process vector). dst may be r itself: each parent
+// word is read before the child word at the same index is written.
+func (r *Stream) SplitInto(key uint64, dst *Stream) {
 	// Mix the parent state with the key through SplitMix64 so that child
 	// streams are decorrelated from the parent and from each other.
 	h := key ^ 0xd1b54a32d192ed03
-	var st Stream
-	for i := range st.s {
+	for i := range dst.s {
 		var v uint64
 		h, v = splitMix64(h ^ r.s[i])
-		st.s[i] = v
+		dst.s[i] = v
 	}
-	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
-		st.s[0] = 0x9e3779b97f4a7c15
+	if dst.s[0]|dst.s[1]|dst.s[2]|dst.s[3] == 0 {
+		dst.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &st
 }
 
 // SplitSeed returns Split(key).Uint64() without allocating the child

@@ -144,18 +144,3 @@ func (c *Client) StreamShards(id string, fn func(ShardUpdate) error) error {
 	}
 	return sc.Err()
 }
-
-// Healthz probes liveness, returning the reported queue depth.
-func (c *Client) Healthz() (int, error) {
-	var out struct {
-		OK         bool `json:"ok"`
-		QueueDepth int  `json:"queue_depth"`
-	}
-	if err := c.do("GET", "/healthz", nil, &out); err != nil {
-		return 0, err
-	}
-	if !out.OK {
-		return 0, fmt.Errorf("server: healthz reports not ok")
-	}
-	return out.QueueDepth, nil
-}

@@ -538,39 +538,59 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 		e.payloads[i] = 0
 		e.sending[i] = false
 	}
-	e.deliver = resizeMasks(e.deliver, n)
-	e.deliverScratch = resizeMasks(e.deliverScratch, n)
-	for i := range e.deliver {
-		e.deliver[i] = nil
-	}
 	e.enterTallyMode()
-	// In tally mode inboxes are never filled, so skip the cap-n
-	// preallocation: at n = 10^6 the object engine's n² inbox reservation
-	// alone would be ~16 GB. If the execution later falls back to the
-	// object path (Byzantine forgeries), the buffers grow lazily.
-	e.inboxes = resizeRecvBufs(e.inboxes, n)
-	e.scratch = resizeRecvBufs(e.scratch, n)
-	for i := 0; i < n; i++ {
-		if e.inboxes[i] == nil {
-			if !e.tallyMode {
-				e.inboxes[i] = make([]Recv, 0, n)
-			}
-		} else {
-			e.inboxes[i] = e.inboxes[i][:0]
-		}
-		if e.scratch[i] == nil {
-			if !e.tallyMode {
-				e.scratch[i] = make([]Recv, 0, n)
-			}
-		} else {
-			e.scratch[i] = e.scratch[i][:0]
-		}
+	if e.tallyMode {
+		e.dropObjectBuffers()
+	} else {
+		e.sizeObjectBuffers(true)
 	}
 	e.decideRound = 0
 	e.haltRound = 0
 	e.messages = 0
 	e.viewBuf = View{}
 	return nil
+}
+
+// sizeObjectBuffers gives the object path its per-process buffers:
+// delivery overrides (all nil), victims' mask slots and empty inboxes,
+// reusing whatever storage the receiver already owns. With preallocate
+// set, as for an object-path Reset, a missing inbox gets capacity n up
+// front. The Byzantine fall-back out of tally mode passes false, because
+// at n = 10^6 that n² reservation alone would be ~16 GB, and lets the
+// inboxes grow as they fill; CloneInto passes false and fills them with
+// the source's.
+func (e *Execution) sizeObjectBuffers(preallocate bool) {
+	n := e.cfg.N
+	e.deliver = resizeMasks(e.deliver, n)
+	e.deliverScratch = resizeMasks(e.deliverScratch, n)
+	for i := range e.deliver {
+		e.deliver[i] = nil
+	}
+	e.inboxes = resizeRecvBufs(e.inboxes, n)
+	e.scratch = resizeRecvBufs(e.scratch, n)
+	for i := 0; i < n; i++ {
+		e.inboxes[i] = resetRecvBuf(e.inboxes[i], n, preallocate)
+		e.scratch[i] = resetRecvBuf(e.scratch[i], n, preallocate)
+	}
+}
+
+// dropObjectBuffers empties the object path's buffers for an execution
+// in tally mode, which never reads them. Their storage stays behind the
+// zero length, so a later object run or fall-back reuses it.
+func (e *Execution) dropObjectBuffers() {
+	e.deliver = e.deliver[:0]
+	e.deliverScratch = e.deliverScratch[:0]
+	e.inboxes = e.inboxes[:0]
+	e.scratch = e.scratch[:0]
+}
+
+// resetRecvBuf empties one inbox buffer, allocating capacity n for a
+// missing one only when preallocate is set.
+func resetRecvBuf(b []Recv, n int, preallocate bool) []Recv {
+	if b == nil && preallocate {
+		return make([]Recv, 0, n)
+	}
+	return b[:0]
 }
 
 // resizeBools returns s with length n, reusing its storage when
@@ -595,7 +615,7 @@ func resizeInt64s(s []int64, n int) []int64 {
 func resizeMasks(s []*BitSet, n int) []*BitSet {
 	if cap(s) < n {
 		grown := make([]*BitSet, n)
-		copy(grown, s)
+		copy(grown, s[:cap(s)])
 		return grown
 	}
 	return s[:n]
@@ -606,7 +626,7 @@ func resizeMasks(s []*BitSet, n int) []*BitSet {
 func resizeRecvBufs(s [][]Recv, n int) [][]Recv {
 	if cap(s) < n {
 		grown := make([][]Recv, n)
-		copy(grown, s)
+		copy(grown, s[:cap(s)])
 		s = grown
 	} else {
 		s = s[:n]
@@ -772,22 +792,18 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 		}
 	}
 
-	dst.deliver = resizeMasks(dst.deliver, n)
-	dst.deliverScratch = resizeMasks(dst.deliverScratch, n)
-	for i := 0; i < n; i++ {
-		src := e.deliver[i]
-		if src == nil {
-			dst.deliver[i] = nil
-			continue
+	if e.tallyMode {
+		dst.dropObjectBuffers()
+	} else {
+		dst.sizeObjectBuffers(false)
+		for i, src := range e.deliver {
+			if src != nil {
+				dst.deliver[i] = dst.deliverSlot(i, src)
+			}
 		}
-		dst.deliver[i] = dst.deliverSlot(i, src)
-	}
-
-	dst.inboxes = resizeRecvBufs(dst.inboxes, n)
-	dst.scratch = resizeRecvBufs(dst.scratch, n)
-	for i := 0; i < n; i++ {
-		dst.inboxes[i] = append(dst.inboxes[i][:0], e.inboxes[i]...)
-		dst.scratch[i] = dst.scratch[i][:0]
+		for i, in := range e.inboxes {
+			dst.inboxes[i] = append(dst.inboxes[i], in...)
+		}
 	}
 
 	dst.viewBuf = View{} // never alias the source's round buffers
@@ -1181,15 +1197,21 @@ func (e *Execution) Result() *Result {
 	res.Validity = true
 	// Byzantine-aware validity: only the CORRECT processes' inputs bind
 	// the decision (standard weak validity; identical to the fail-stop
-	// condition when nothing is corrupted).
-	var correctInputs []int
+	// condition when nothing is corrupted). With no correct process the
+	// inputs are not all the same, and validity holds vacuously.
+	v0, allSame := -1, true
 	for i, x := range e.inputs {
-		if !e.corrupt[i] {
-			correctInputs = append(correctInputs, x)
+		if e.corrupt[i] {
+			continue
+		}
+		if v0 == -1 {
+			v0 = x
+		} else if x != v0 {
+			allSame = false
+			break
 		}
 	}
-	allSame, v0 := allEqual(correctInputs)
-	if allSame {
+	if allSame && v0 != -1 {
 		for i := range e.procs {
 			if res.Decided[i] && res.Decisions[i] != v0 {
 				res.Validity = false
@@ -1207,16 +1229,4 @@ func (e *Execution) Result() *Result {
 		}
 	}
 	return res
-}
-
-func allEqual(xs []int) (bool, int) {
-	if len(xs) == 0 {
-		return false, 0
-	}
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return false, 0
-		}
-	}
-	return true, xs[0]
 }

@@ -203,13 +203,14 @@ func (e *Execution) enterTallyMode() {
 // leaveTallyMode syncs every process object from the kernel and drops to
 // the object path permanently (used when a Byzantine forgery arrives:
 // corruption needs per-receiver payloads, which columns cannot carry).
-// Inboxes were initialized empty in tally mode; they grow lazily from
-// the next Phase B on.
+// Tally mode left the object path's buffers empty; they are sized here,
+// and the inboxes grow as the next Phase B fills them.
 func (e *Execution) leaveTallyMode() {
 	for i, p := range e.procs {
 		e.kernel.KernelSync(i, p)
 	}
 	e.tallyMode = false
+	e.sizeObjectBuffers(false)
 }
 
 // classify returns the memoized payload class.
